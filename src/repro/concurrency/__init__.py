@@ -10,8 +10,9 @@ schedulers.  Public surface:
 * :class:`Lock`, :class:`RWLock`
 * Schedulers: :class:`RandomScheduler`, :class:`RoundRobinScheduler`,
   :class:`PCTScheduler`, :class:`ReplayScheduler`
-* Exploration: :func:`explore_exhaustive`, :func:`explore_swarm`, plus the
-  multi-process engines :func:`parallel_exhaustive`, :func:`parallel_swarm`
+* Exploration: the engines :func:`parallel_exhaustive` (one frontier
+  engine at every job count) and :func:`parallel_swarm`, plus the serial
+  reference drivers :func:`explore_exhaustive`, :func:`explore_swarm`
 """
 
 from .errors import (

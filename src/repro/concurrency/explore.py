@@ -3,16 +3,22 @@
 The paper deliberately trades completeness for scalability: VYRD checks the
 single interleaving produced by one run.  Because our substrate is a
 deterministic simulator, we can do better on small instances -- this module
-adds two exploration drivers (an *extension* relative to the paper, recorded
-in DESIGN.md):
+holds the campaign result types and the two serial *reference* drivers (an
+*extension* relative to the paper, recorded in DESIGN.md):
 
-* :func:`explore_exhaustive` -- depth-first enumeration of **all** schedules
-  of a program up to a run budget, using :class:`ReplayScheduler` decision
-  vectors.  On small programs this turns VYRD into a bounded model checker
-  for refinement.
+* :func:`explore_exhaustive` -- backtracking depth-first enumeration of
+  **all** schedules of a program up to a run budget, using
+  :class:`ReplayScheduler` decision vectors.  On small programs this turns
+  VYRD into a bounded model checker for refinement.
 * :func:`explore_swarm` -- a portfolio of seeded random schedules; this is
   the paper's "large numbers of repetitions of the same experiment"
   methodology packaged as a reusable driver.
+
+Campaigns run through the engines in :mod:`repro.concurrency.parallel`:
+one frontier engine for exhaustive exploration at every job count (with
+optional sleep-set reduction), and seed-range sharding that runs
+:func:`explore_swarm` per chunk.  :func:`explore_exhaustive` is the
+independent reference the determinism tests compare that engine against.
 
 Both drivers take a ``program``: a callable that accepts a
 :class:`~repro.concurrency.schedulers.Scheduler`, builds a fresh kernel plus
@@ -47,17 +53,18 @@ class ExplorationResult:
 
     runs: List[RunRecord] = field(default_factory=list)
     exhausted: bool = False  # exhaustive mode: True if the space was covered
-    # Campaign accounting (swarm mode): how many runs were asked for, and how
-    # many of those never ran (stop_on_failure cut the campaign short, or a
-    # parallel driver cancelled outstanding work).  ``requested`` is None for
-    # exhaustive campaigns, whose budget is a cap rather than a target.
+    # Campaign accounting: how many runs were asked for, and how many of
+    # those never ran.  In swarm campaigns the skips are seeds that
+    # stop_on_failure cut short (or a parallel driver cancelled).  The
+    # exhaustive engine's budget is a cap rather than a target, so it counts
+    # the schedules it discovered: ``requested == num_runs + skipped``.  The
+    # reference explore_exhaustive leaves ``requested`` None.
     requested: Optional[int] = None
     skipped: int = 0
     # Schedule-reduction accounting (``--reduce static``): subtree roots the
-    # sleep sets removed without executing.  In reduced exhaustive campaigns
-    # ``skipped == pruned`` and ``requested == num_runs + skipped``, so the
-    # invariant requested == executed + skipped holds in every mode; swarm
-    # campaigns keep pruned == 0 (their skips are cancelled seeds).
+    # sleep sets removed without executing.  Exhaustive campaigns report
+    # ``skipped == pruned`` (0 without a reducer); swarm campaigns keep
+    # pruned == 0 (their skips are cancelled seeds).
     pruned: int = 0
     # Infrastructure incidents survived while producing the result: retries,
     # worker crashes, pool rebuilds, hang kills (dicts, see
@@ -166,7 +173,6 @@ def explore_exhaustive(
     program: Callable[[Scheduler], Any],
     max_runs: int = 10_000,
     stop_on_failure: bool = False,
-    reducer=None,
 ) -> ExplorationResult:
     """Enumerate schedules depth-first until the space or budget is exhausted.
 
@@ -176,16 +182,10 @@ def explore_exhaustive(
     schedule tree.  Beyond the scripted prefix, every run takes alternative 0
     at each new decision point (so increments cover the whole tree).
 
-    With a ``reducer`` (:class:`repro.concurrency.reduction.StaticReducer`),
-    the same tree is walked with sleep sets: schedules that differ from an
-    explored one only by swaps of statically-independent steps are pruned
-    (counted in ``result.pruned``/``skipped``) instead of executed.  The
-    reduced campaign reports the same outcome set as the unreduced one.
+    This is the reference driver: campaigns run through the frontier engine
+    :func:`repro.concurrency.parallel.parallel_exhaustive`, and the
+    determinism tests hold that engine to this function's runs and order.
     """
-    if reducer is not None:
-        return _explore_exhaustive_reduced(
-            program, max_runs, stop_on_failure, reducer
-        )
     result = ExplorationResult()
     prefix: List[int] = []
     while len(result.runs) < max_runs:
@@ -211,60 +211,6 @@ def explore_exhaustive(
             result.exhausted = True
             break
         prefix = next_prefix
-    result.metrics = _program_metrics(program)
-    return result
-
-
-def _explore_exhaustive_reduced(
-    program: Callable[[Scheduler], Any],
-    max_runs: int,
-    stop_on_failure: bool,
-    reducer,
-) -> ExplorationResult:
-    """Sleep-set DFS over the schedule tree (see ``reduction``).
-
-    Works from an explicit frontier of ``(prefix, sleep)`` entries: each run
-    replays its prefix with its inherited sleep set and generates its own
-    unexplored siblings, so this loop is the one-worker instance of the
-    protocol :func:`repro.concurrency.parallel.parallel_exhaustive` shards.
-    Runs are reported in schedule-lexicographic order (the unreduced DFS
-    order) unless ``stop_on_failure`` truncates the campaign.
-    """
-    from .reduction import ReducedReplayScheduler
-
-    result = ExplorationResult()
-    stack: List[tuple] = [([], {})]
-    pruned = 0
-    while stack and len(result.runs) < max_runs:
-        prefix, sleep = stack.pop()
-        scheduler = ReducedReplayScheduler(
-            decisions=prefix, sleep=sleep, reducer=reducer
-        )
-        record = RunRecord(schedule=list(prefix))
-        try:
-            record.outcome = program(scheduler)
-        except Exception as exc:
-            record.error = exc
-        record.schedule = [index for index, _ in scheduler.trace]
-        result.runs.append(record)
-        if record.failed and stop_on_failure:
-            break
-        entries, newly_pruned = scheduler.siblings()
-        pruned += newly_pruned
-        # LIFO: push (depth ascending, alternative descending) so pops walk
-        # the deepest decision point first, lowest alternative first -- the
-        # unreduced DFS order.
-        stack.extend(
-            sorted(entries, key=lambda e: (len(e[0]), -e[0][-1]))
-        )
-    else:
-        if not stack:
-            result.exhausted = True
-    if result.first_failure is None or not stop_on_failure:
-        result.runs.sort(key=lambda r: tuple(r.schedule))
-    result.pruned = pruned
-    result.skipped = pruned
-    result.requested = len(result.runs) + pruned
     result.metrics = _program_metrics(program)
     return result
 

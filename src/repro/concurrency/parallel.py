@@ -1,26 +1,28 @@
-"""Multi-process schedule exploration: parallel swarm + frontier-sharded DFS.
+"""The exploration engines: parallel swarm + the frontier exhaustive DFS.
 
-The serial drivers in :mod:`repro.concurrency.explore` check one schedule at
-a time, so campaign wall-clock scales 1:1 with run count.  Every run on the
-deterministic substrate is independently reproducible from a seed or a
-decision vector, which makes exploration embarrassingly parallel; this
-module fans both drivers out across a process pool:
+Every run on the deterministic substrate is independently reproducible from
+a seed or a decision vector, which makes exploration embarrassingly
+parallel.  This module holds the engines behind every campaign; the serial
+drivers in :mod:`repro.concurrency.explore` stay as independent references
+for the determinism tests:
 
-* :func:`parallel_swarm` -- shards the seed range into chunks dispatched to
-  worker processes.  Chunk results are consumed in submission (ascending
-  seed) order, so ``stop_on_failure`` reproduces the serial semantics
-  exactly: the campaign ends at the lowest failing seed and outstanding
-  chunks are cancelled, with the number of never-run seeds recorded on
+* :func:`parallel_swarm` -- shards the seed range into contiguous chunks
+  (each chunk is an :func:`explore_swarm` call inside a worker).  Chunk
+  results are consumed in submission (ascending seed) order, so
+  ``stop_on_failure`` reproduces the serial semantics exactly: the campaign
+  ends at the lowest failing seed and outstanding chunks are cancelled,
+  with the number of never-run seeds recorded on
   :attr:`ExplorationResult.skipped`.
-* :func:`parallel_exhaustive` -- partitions the schedule tree by
-  decision-vector prefix.  A shared frontier (owned by the coordinating
-  process) holds unexplored prefixes; workers claim batches, run each prefix
-  through the existing :class:`ReplayScheduler` + always-first enumeration,
-  and return the *sibling prefixes* their runs discovered, which go back on
-  the frontier.  Work-sharing at prefix granularity means no worker idles
-  while the tree is uneven.
+* :func:`parallel_exhaustive` -- the one exhaustive engine, at every job
+  count.  A frontier stack (owned by the coordinating process) holds
+  unexplored ``(prefix, sleep)`` entries; each entry is one run, and the
+  sibling entries it discovers go back on the stack.  ``jobs > 1`` shards
+  the stack over a process pool in batches, so no worker idles while the
+  tree is uneven; ``jobs <= 1`` runs the same loop in-process, one entry
+  at a time, which walks the tree in exactly the order of the reference
+  DFS :func:`~repro.concurrency.explore.explore_exhaustive`.
 
-**Frontier protocol.**  A task for prefix ``P`` performs exactly one run:
+**Frontier protocol.**  An entry ``(P, sleep)`` performs exactly one run:
 replay ``P``, then take alternative 0 at every later decision point.  Its
 trace is therefore ``P + [0, 0, ...]``.  For every depth ``d >= len(P)``
 with ``n`` alternatives, the prefixes ``trace[:d] + [alt]`` for
@@ -28,7 +30,10 @@ with ``n`` alternatives, the prefixes ``trace[:d] + [alt]`` for
 in a non-zero decision, and every schedule's decision vector has a unique
 such generating prefix (truncate after its last non-zero decision; the
 all-zero schedule is the root's own run) -- so each schedule in the tree is
-executed exactly once, with no coordination between workers.
+executed exactly once, with no coordination between workers.  With a
+``reducer`` the run carries its inherited sleep set and sibling generation
+drops (and counts) the subtrees the sleep sets prove redundant -- see
+:mod:`repro.concurrency.reduction`; without one every sleep set is empty.
 
 **Program specs.**  Closures do not pickle, so parallel exploration takes a
 *program source*: either a picklable callable ``program(scheduler) ->
@@ -41,13 +46,15 @@ Outcomes must be picklable; worker-side exceptions are shipped back as
 
 **Canonical merge order.**  Swarm results are merged in ascending seed
 order, exhaustive results in lexicographic decision-vector order -- exactly
-the orders the serial drivers produce.  Parallel output is therefore
-bit-identical to serial (compare with
-:meth:`ExplorationResult.signature`), which is what makes the engine
-trustworthy and testable; the determinism suite in
-``tests/concurrency/test_parallel.py`` holds it to that.
+the orders the reference drivers produce.  Swarm campaigns, and exhaustive
+campaigns that cover their whole space, are therefore bit-identical at
+every job count (compare with :meth:`ExplorationResult.signature`).  A
+budget-cut or stopped exhaustive campaign matches the reference only at
+``jobs <= 1``; at ``jobs > 1`` it is comparable only with other ``jobs > 1``
+campaigns.  The determinism suite in ``tests/concurrency/test_parallel.py``
+holds the engines to that.
 
-**Fault tolerance.**  Both drivers dispatch through
+**Fault tolerance.**  At ``jobs > 1`` both drivers dispatch through
 :class:`~repro.concurrency.resilient.ResilientPool`: chunks get per-task
 wall-clock deadlines (``timeout=``), bounded retries with exponential
 backoff and seeded jitter (``max_retries=``/``backoff_base=``), and the
@@ -73,9 +80,8 @@ import functools
 import multiprocessing
 import os
 import pickle
-from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..obs import merge_snapshots
 from .explore import (
@@ -83,11 +89,11 @@ from .explore import (
     RunRecord,
     _AlwaysFirst,
     _program_metrics,
-    explore_exhaustive,
     explore_swarm,
 )
+from .reduction import ReducedReplayScheduler
 from .resilient import ResilientPool, RetryPolicy, TaskFailure
-from .schedulers import RandomScheduler, ReplayScheduler, Scheduler
+from .schedulers import ReplayScheduler, Scheduler
 
 
 class RemoteError(Exception):
@@ -217,7 +223,9 @@ def _mp_context(name: Optional[str] = None):
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-def _wire_error(exc: BaseException) -> Tuple[str, str, Optional[dict]]:
+def _wire_error(exc: Optional[BaseException]) -> Optional[tuple]:
+    if exc is None:
+        return None
     details = getattr(exc, "details", None)
     if not isinstance(details, dict):
         details = None
@@ -275,12 +283,20 @@ def _fault_decorator(faults):
 # ---------------------------------------------------------------------------
 
 
-def _swarm_chunk(source, stop_on_failure, scheduler_factory, seeds, inject=None):
-    """Worker: run one chunk of seeds, returning picklable wire results.
+def swarm_chunk_size(num_runs: int, jobs: int) -> int:
+    """Default swarm chunk size: ~4 chunks per worker balances load
+    against per-task dispatch cost."""
+    return max(1, -(-num_runs // (jobs * 4)))
 
-    The wire shape is ``(records, metrics_snapshot)``: the per-seed records
-    plus the chunk recorder's deterministic counter snapshot (``None`` when
-    the program source does not carry metrics).
+
+def _swarm_chunk(source, stop_on_failure, scheduler_factory, seeds, inject=None):
+    """Worker: run one contiguous chunk of seeds, returning picklable wire results.
+
+    The chunk is one :func:`explore_swarm` campaign over ``seeds``; the wire
+    shape is ``(records, metrics_snapshot)``: the per-seed
+    ``(seed, outcome, wire_error)`` records plus the chunk recorder's
+    deterministic counter snapshot (``None`` when the program source does
+    not carry metrics).
 
     ``inject`` is the fault-injection hook resolved for this dispatch (see
     :func:`_fault_decorator`); applied before any real work so a planned
@@ -288,23 +304,19 @@ def _swarm_chunk(source, stop_on_failure, scheduler_factory, seeds, inject=None)
     """
     if inject is not None:
         inject.apply()
-    program = resolve_program(source)
-    make = scheduler_factory or RandomScheduler
-    records = []
-    for seed in seeds:
-        outcome = error = None
-        try:
-            outcome = program(make(seed))
-        except Exception as exc:
-            error = _wire_error(exc)
-        records.append((seed, outcome, error))
-        if error is not None and stop_on_failure:
-            break
-    return records, _program_metrics(program)
+    chunk = explore_swarm(
+        resolve_program(source),
+        num_runs=len(seeds),
+        base_seed=seeds[0],
+        stop_on_failure=stop_on_failure,
+        scheduler_factory=scheduler_factory,
+    )
+    records = [(r.schedule, r.outcome, _wire_error(r.error)) for r in chunk.runs]
+    return records, chunk.metrics
 
 
-def _split_seed_chunk(seeds) -> Optional[List[List[int]]]:
-    return [[seed] for seed in seeds] if len(seeds) > 1 else None
+def _split_batch(items) -> Optional[List[list]]:
+    return [[item] for item in items] if len(items) > 1 else None
 
 
 def _concat_chunks(parts: List[tuple]) -> tuple:
@@ -360,8 +372,7 @@ def parallel_swarm(
     program = _OncePickledSource(program)
     seeds = [base_seed + i for i in range(num_runs)]
     if chunk_size is None:
-        # ~4 chunks per worker balances load against per-task dispatch cost.
-        chunk_size = max(1, -(-num_runs // (jobs * 4)))
+        chunk_size = swarm_chunk_size(num_runs, jobs)
     chunks = [seeds[i : i + chunk_size] for i in range(0, num_runs, chunk_size)]
     result = ExplorationResult(requested=num_runs)
     context = _mp_context(mp_context)
@@ -371,7 +382,7 @@ def parallel_swarm(
             max_workers=jobs, mp_context=context
         ),
         policy=_retry_policy(timeout, max_retries, backoff_base, base_seed),
-        split=_split_seed_chunk,
+        split=_split_batch,
         combine=_concat_chunks,
         give_up=_swarm_give_up,
         decorate=_fault_decorator(faults),
@@ -419,116 +430,121 @@ def parallel_swarm(
 
 
 # ---------------------------------------------------------------------------
-# Parallel exhaustive DFS
+# Exhaustive DFS: the frontier engine
 # ---------------------------------------------------------------------------
 
 
-def _exhaustive_batch(source, prefixes, inject=None):
-    """Worker: expand a batch of claimed prefixes (one run each).
+def _push_order(entry) -> tuple:
+    """Stack order for sibling entries: depth ascending, alternative
+    descending, so pops walk the deepest decision point first, lowest
+    alternative first -- the reference DFS order."""
+    prefix = entry[0]
+    return len(prefix), -prefix[-1]
 
-    Returns ``(records, discovered, metrics_snapshot)`` where each record is
-    ``(decision_vector, outcome, wire_error)``, ``discovered`` lists the
-    sibling prefixes found below each prefix (see the frontier protocol in
-    the module docstring), and ``metrics_snapshot`` is the chunk recorder's
-    deterministic counter snapshot (``None`` without metrics).
+
+def _expand(program, reducer, entry) -> tuple:
+    """Run one frontier entry; return ``(record, discovered, pruned)``.
+
+    ``record`` is ``(decision_vector, outcome, error)`` with the live
+    exception (or None); ``discovered`` lists the sibling ``(prefix,
+    sleep)`` entries below the run (see the frontier protocol in the module
+    docstring) in stack push order; ``pruned`` counts the sibling subtrees
+    the reducer's sleep sets removed.
     """
-    if inject is not None:
-        inject.apply()
-    program = resolve_program(source)
-    records = []
-    discovered: List[List[int]] = []
-    for prefix in prefixes:
-        scheduler = ReplayScheduler(decisions=list(prefix), fallback=_AlwaysFirst())
-        outcome = error = None
-        try:
-            outcome = program(scheduler)
-        except Exception as exc:
-            error = _wire_error(exc)
-        trace = scheduler.trace
-        indices = [index for index, _ in trace]
-        records.append((indices, outcome, error))
-        for depth in range(len(prefix), len(trace)):
-            chosen, num_choices = trace[depth]
-            for alt in range(chosen + 1, num_choices):
-                discovered.append(indices[:depth] + [alt])
-    return records, discovered, _program_metrics(program)
-
-
-def _reduced_exhaustive_batch(source, reducer, entries, inject=None):
-    """Worker: expand claimed ``(prefix, sleep)`` frontier entries.
-
-    The sleep-set variant of :func:`_exhaustive_batch` (see
-    :mod:`repro.concurrency.reduction`): each entry replays its prefix under
-    its inherited sleep set, and sibling generation both emits the surviving
-    ``(prefix, sleep)`` entries and counts the pruned subtrees.  Wire shape:
-    ``(records, discovered, pruned, metrics_snapshot)``.  Every sleep set is
-    computed by the worker that generated the entry, so the frontier needs
-    no more coordination than the unreduced one.
-    """
-    from .reduction import ReducedReplayScheduler
-
-    if inject is not None:
-        inject.apply()
-    program = resolve_program(source)
-    records = []
-    discovered: List[tuple] = []
-    pruned = 0
-    for prefix, sleep in entries:
+    prefix, sleep = entry
+    if reducer is None:
+        scheduler = ReplayScheduler(decisions=prefix, fallback=_AlwaysFirst())
+    else:
         scheduler = ReducedReplayScheduler(
-            decisions=list(prefix), sleep=dict(sleep), reducer=reducer
+            decisions=prefix, sleep=sleep, reducer=reducer
         )
-        outcome = error = None
-        try:
-            outcome = program(scheduler)
-        except Exception as exc:
-            error = _wire_error(exc)
-        indices = [index for index, _ in scheduler.trace]
-        records.append((indices, outcome, error))
-        entries_found, newly_pruned = scheduler.siblings()
-        discovered.extend(entries_found)
-        pruned += newly_pruned
-    return records, discovered, pruned, _program_metrics(program)
+    outcome = error = None
+    try:
+        outcome = program(scheduler)
+    except Exception as exc:  # outcome of interest, not a crash of ours
+        error = exc
+    trace = scheduler.trace
+    indices = [index for index, _ in trace]
+    if reducer is None:
+        discovered = [
+            (indices[:depth] + [alt], {})
+            for depth in range(len(prefix), len(trace))
+            for alt in range(trace[depth][0] + 1, trace[depth][1])
+        ]
+        pruned = 0
+    else:
+        discovered, pruned = scheduler.siblings()
+    discovered.sort(key=_push_order)
+    return (indices, outcome, error), discovered, pruned
 
 
-def _split_prefix_batch(prefixes) -> Optional[List[list]]:
-    return [[prefix] for prefix in prefixes] if len(prefixes) > 1 else None
+def _exhaustive_batch(source, reducer, entries, inject=None):
+    """Worker: expand a batch of claimed frontier entries (one run each).
+
+    Wire shape: ``(expanded, metrics_snapshot)`` -- the :func:`_expand`
+    result of every entry with its error converted to a wire tuple, plus
+    the chunk recorder's deterministic counter snapshot (``None`` without
+    metrics).
+    """
+    if inject is not None:
+        inject.apply()
+    program = resolve_program(source)
+    expanded = []
+    for entry in entries:
+        (schedule, outcome, error), discovered, pruned = _expand(
+            program, reducer, entry
+        )
+        expanded.append(
+            ((schedule, outcome, _wire_error(error)), discovered, pruned)
+        )
+    return expanded, _program_metrics(program)
 
 
-def _combine_batches(parts: List[tuple]) -> tuple:
-    records = [record for part in parts for record in part[0]]
-    discovered = [prefix for part in parts for prefix in part[1]]
-    return records, discovered, merge_snapshots(part[2] for part in parts)
-
-
-def _exhaustive_give_up(prefixes, failure: TaskFailure) -> tuple:
-    records = [
-        (list(prefix), None, ExplorationTimeout(
-            list(prefix), kind=failure.kind, attempts=failure.attempts,
-            detail=failure.message,
-        ))
-        for prefix in prefixes
-    ]
+def _exhaustive_give_up(entries, failure: TaskFailure) -> tuple:
     # The subtree below an abandoned prefix is unexplored: no siblings to
     # report, and the driver marks the campaign non-exhausted.
-    return records, [], None
-
-
-def _combine_reduced_batches(parts: List[tuple]) -> tuple:
-    records = [record for part in parts for record in part[0]]
-    discovered = [entry for part in parts for entry in part[1]]
-    pruned = sum(part[2] for part in parts)
-    return records, discovered, pruned, merge_snapshots(part[3] for part in parts)
-
-
-def _reduced_give_up(entries, failure: TaskFailure) -> tuple:
-    records = [
-        (list(prefix), None, ExplorationTimeout(
+    return [
+        ((list(prefix), None, ExplorationTimeout(
             list(prefix), kind=failure.kind, attempts=failure.attempts,
             detail=failure.message,
-        ))
+        )), [], 0)
         for prefix, _sleep in entries
-    ]
-    return records, [], 0, None
+    ], None
+
+
+class _InProcessPool:
+    """The ``jobs <= 1`` stand-in for :class:`ResilientPool`.
+
+    A submitted batch runs when it is collected, in submission order,
+    against the one program resolved for the campaign: nothing is pickled,
+    records keep their live exceptions, and no per-batch metrics snapshot
+    is taken (the driver reads the program's recorder once, at the end).
+    """
+
+    def __init__(self, program, reducer):
+        self.program = program
+        self.reducer = reducer
+        self.events: List[dict] = []
+        self._batches: List[list] = []
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._batches)
+
+    has_pending = in_flight
+
+    def submit(self, batch) -> None:
+        self._batches.append(batch)
+
+    def next_completed(self) -> tuple:
+        batch = self._batches.pop(0)
+        return None, (
+            [_expand(self.program, self.reducer, entry) for entry in batch],
+            None,
+        )
+
+    def shutdown(self) -> None:
+        pass
 
 
 def parallel_exhaustive(
@@ -544,16 +560,24 @@ def parallel_exhaustive(
     faults=None,
     reducer=None,
 ) -> ExplorationResult:
-    """Multi-process :func:`explore_exhaustive` via frontier sharding.
+    """Exhaustive DFS over the schedule tree: the frontier engine.
 
-    Covers exactly the schedules the serial DFS covers; with a budget large
-    enough to exhaust the space, the merged result (sorted lexicographically
-    by decision vector) is identical to the serial one.  Under a binding
-    ``max_runs`` budget the two engines visit *different* subsets of the
-    tree (DFS order vs. frontier order), so budget-limited results are only
-    set-comparable to themselves.  ``stop_on_failure`` stops dispatching new
-    work once any failure is observed, drains in-flight batches, and
-    truncates the canonical ordering after its first failure.
+    ``jobs <= 1`` runs the frontier loop in-process, one entry at a time:
+    the program source is resolved once, nothing is pickled, failed records
+    keep their live exceptions, and the runs -- also under a binding
+    ``max_runs`` or ``stop_on_failure`` -- are exactly those of the
+    reference :func:`~repro.concurrency.explore.explore_exhaustive`, in the
+    same order.
+
+    ``jobs > 1`` shards the frontier over a process pool in batches of up
+    to ``chunk_size`` entries.  With a budget large enough to exhaust the
+    space the merged result (sorted lexicographically by decision vector)
+    is identical to the ``jobs <= 1`` one.  Under a binding ``max_runs``
+    the pool visits a different subset of the tree, so budget-limited
+    results are only comparable with other ``jobs > 1`` campaigns.
+    ``stop_on_failure`` stops dispatching new work once any failure is
+    observed, drains in-flight batches, and truncates the canonical
+    ordering after its first failure.
 
     ``timeout``/``max_retries``/``backoff_base``/``faults`` configure the
     fault-tolerance layer exactly as for :func:`parallel_swarm`.  A prefix
@@ -562,42 +586,38 @@ def parallel_exhaustive(
     non-exhausted (its subtree was never enumerated).
 
     ``reducer`` (a picklable
-    :class:`repro.concurrency.reduction.StaticReducer`) switches the
-    frontier to sleep-set entries ``(prefix, sleep)``: statically redundant
-    sibling subtrees are counted on ``result.pruned`` instead of dispatched.
-    The reduced parallel campaign covers exactly the schedules the reduced
-    serial one does.
+    :class:`repro.concurrency.reduction.StaticReducer`) turns on sleep
+    sets: statically redundant sibling subtrees are counted on
+    ``result.pruned`` (and ``skipped``) instead of run.  The reduced
+    campaign reports the same outcome set as the unreduced one, and every
+    campaign satisfies ``requested == num_runs + skipped``.
     """
     jobs = _resolve_jobs(jobs)
     if jobs <= 1:
-        return explore_exhaustive(
-            resolve_program(program),
-            max_runs=max_runs,
-            stop_on_failure=stop_on_failure,
-            reducer=reducer,
+        resolved = resolve_program(program)
+        pool = _InProcessPool(resolved, reducer)
+        chunk_size = window = 1
+    else:
+        program = _OncePickledSource(program)
+        context = _mp_context(mp_context)
+        pool = ResilientPool(
+            functools.partial(_exhaustive_batch, program, reducer),
+            make_executor=lambda: ProcessPoolExecutor(
+                max_workers=jobs, mp_context=context
+            ),
+            policy=_retry_policy(timeout, max_retries, backoff_base, max_runs),
+            split=_split_batch,
+            combine=_concat_chunks,
+            give_up=_exhaustive_give_up,
+            decorate=_fault_decorator(faults),
         )
-    program = _OncePickledSource(program)
-    reduced = reducer is not None
-    frontier: deque = deque([([], {})] if reduced else [[]])
+        window = jobs * 2
+    frontier: List[tuple] = [([], {})]  # a stack, pushed in _push_order
     runs: List[RunRecord] = []
     dispatched = 0
     pruned = 0
     failure_seen = False
     abandoned = False
-    context = _mp_context(mp_context)
-    pool = ResilientPool(
-        functools.partial(_reduced_exhaustive_batch, program, reducer)
-        if reduced
-        else functools.partial(_exhaustive_batch, program),
-        make_executor=lambda: ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ),
-        policy=_retry_policy(timeout, max_retries, backoff_base, max_runs),
-        split=_split_prefix_batch,
-        combine=_combine_reduced_batches if reduced else _combine_batches,
-        give_up=_reduced_give_up if reduced else _exhaustive_give_up,
-        decorate=_fault_decorator(faults),
-    )
     interruptions: List[dict] = []
     snapshots: List[Optional[dict]] = []
     try:
@@ -605,24 +625,19 @@ def parallel_exhaustive(
             while (
                 frontier
                 and not (stop_on_failure and failure_seen)
-                and pool.in_flight < jobs * 2
+                and pool.in_flight < window
                 and dispatched < max_runs
             ):
                 batch = []
                 while frontier and len(batch) < chunk_size and dispatched < max_runs:
-                    batch.append(frontier.popleft())
+                    batch.append(frontier.pop())
                     dispatched += 1
                 pool.submit(batch)
             if not pool.has_pending:
                 break
-            _key, payload = pool.next_completed()
-            if reduced:
-                records, discovered, newly_pruned, snapshot = payload
-                pruned += newly_pruned
-            else:
-                records, discovered, snapshot = payload
+            _key, (expanded, snapshot) = pool.next_completed()
             snapshots.append(snapshot)
-            for schedule, outcome, error in records:
+            for (schedule, outcome, error), discovered, newly_pruned in expanded:
                 revived = _revive_error(error)
                 record = RunRecord(
                     schedule=schedule, outcome=outcome, error=revived
@@ -632,27 +647,26 @@ def parallel_exhaustive(
                     failure_seen = True
                 if isinstance(revived, ExplorationTimeout):
                     abandoned = True
-            frontier.extend(discovered)
+                frontier.extend(discovered)
+                pruned += newly_pruned
     except (BrokenExecutor, OSError) as exc:
         interruptions.append({"kind": "fatal", "detail": repr(exc), "task": None})
         abandoned = True
     finally:
         pool.shutdown()
-    budget_hit = dispatched >= max_runs and bool(frontier)
     runs.sort(key=lambda record: tuple(record.schedule))
-    result = ExplorationResult(runs=runs)
+    result = ExplorationResult(runs=runs, pruned=pruned, skipped=pruned)
     result.interruptions = interruptions + pool.events
-    result.metrics = _fold_pool_counters(merge_snapshots(snapshots), pool.events)
+    result.metrics = _fold_pool_counters(
+        merge_snapshots(snapshots) if jobs > 1 else _program_metrics(resolved),
+        pool.events,
+    )
     if stop_on_failure and failure_seen:
         for position, record in enumerate(runs):
             if record.failed:
                 del runs[position + 1 :]
                 break
-        result.exhausted = False
     else:
-        result.exhausted = not frontier and not budget_hit and not abandoned
-    if reduced:
-        result.pruned = pruned
-        result.skipped = pruned
-        result.requested = len(result.runs) + pruned
+        result.exhausted = not frontier and not abandoned
+    result.requested = len(runs) + pruned
     return result

@@ -1,6 +1,6 @@
 """Sleep-set schedule reduction driven by the static effect analysis.
 
-Exhaustive exploration (:mod:`repro.concurrency.explore`) enumerates every
+Exhaustive exploration (:mod:`repro.concurrency.parallel`) enumerates every
 interleaving, but most schedules differ only by swaps of *independent*
 steps -- steps whose order provably cannot change any view, verdict or
 happens-before order.  This module prunes those redundant schedules with
@@ -46,7 +46,7 @@ protocol does -- except that alternatives already asleep are *pruned*
 ``{u in sleep + earlier-siblings : independent(u, step_into_sibling)}``.
 Every entry's sleep set is computed by the run that generated it, so
 :func:`repro.concurrency.parallel.parallel_exhaustive` shards the frontier
-with no extra coordination and serial and parallel reduced campaigns
+with no extra coordination and reduced campaigns at every job count
 cover the identical schedule set.
 """
 

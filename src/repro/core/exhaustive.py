@@ -2,9 +2,13 @@
 
 The paper trades completeness for scalability: VYRD checks the one
 interleaving a run happened to produce.  On the deterministic simulator we
-can close that gap for small programs: enumerate *every* schedule with
-:func:`repro.concurrency.explore_exhaustive` and run the full refinement
-check on each, turning VYRD into a bounded model checker for refinement.
+can close that gap for small programs: enumerate *every* schedule with the
+frontier engine :func:`repro.concurrency.parallel.parallel_exhaustive` and
+run the full refinement check on each, turning VYRD into a bounded model
+checker for refinement.  :func:`verify_all_schedules` takes an in-process
+``make_run`` closure and explores at ``jobs=1``;
+:func:`check_program_all_schedules` takes a picklable program and may fan
+the same engine out over worker processes.
 
 Usage::
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..concurrency.explore import explore_exhaustive
+from ..concurrency.parallel import parallel_exhaustive
 from ..concurrency.schedulers import ReplayScheduler, Scheduler
 from .refinement import CheckOutcome
 from .verifier import Vyrd
@@ -40,9 +44,10 @@ from .verifier import Vyrd
 class ScheduleViolation:
     """One schedule whose run failed refinement (or crashed).
 
-    ``outcome`` is the failing :class:`CheckOutcome` (in-process checking)
-    or its ``to_dict()`` form when the violation crossed a worker-process
-    boundary (:func:`check_program_all_schedules` with ``jobs > 1``); None
+    ``outcome`` is the failing :class:`CheckOutcome`
+    (:func:`verify_all_schedules`) or its ``to_dict()`` form, which is what
+    a :class:`~repro.harness.ProgramSpec` failure carries and what survives
+    a worker-process boundary (:func:`check_program_all_schedules`); None
     if the run itself crashed before checking.
     """
 
@@ -98,22 +103,9 @@ def verify_all_schedules(
             raise _RefinementFailure(outcome)
         return True
 
-    explored = explore_exhaustive(
-        program, max_runs=max_runs, stop_on_failure=stop_at_first
+    return check_program_all_schedules(
+        program, max_runs=max_runs, stop_at_first=stop_at_first, jobs=1
     )
-    result = ExhaustiveVerification(
-        schedules_run=explored.num_runs, exhausted=explored.exhausted
-    )
-    for record in explored.failures:
-        if isinstance(record.error, _RefinementFailure):
-            result.violations.append(
-                ScheduleViolation(record.schedule, record.error.outcome)
-            )
-        else:
-            result.violations.append(
-                ScheduleViolation(record.schedule, None, record.error)
-            )
-    return result
 
 
 def check_program_all_schedules(
@@ -122,21 +114,16 @@ def check_program_all_schedules(
     stop_at_first: bool = False,
     jobs: Optional[int] = 1,
 ) -> ExhaustiveVerification:
-    """Bounded exhaustive checking of a *picklable* program, optionally
-    fanned out over worker processes.
+    """Bounded exhaustive checking of a program source, optionally fanned
+    out over worker processes.
 
-    ``program`` is a program source for
-    :func:`repro.concurrency.parallel.parallel_exhaustive`: a
+    ``program`` is a program source for :func:`parallel_exhaustive`: a
     :class:`repro.harness.ProgramSpec` (registry workload + config, with the
-    refinement check built in) or any picklable ``program(scheduler)``
-    callable that raises on a violation.  Unlike
-    :func:`verify_all_schedules`, whose ``make_run`` closure pins it to one
-    process, this path shards the schedule tree across ``jobs`` workers;
-    failure details that crossed a process boundary surface as
-    ``ScheduleViolation.outcome`` dicts (see :class:`ScheduleViolation`).
+    refinement check built in) or a ``program(scheduler)`` callable that
+    raises on a violation -- picklable when ``jobs > 1``.  A failure's
+    ``details`` becomes ``ScheduleViolation.outcome`` (see
+    :class:`ScheduleViolation`).
     """
-    from ..concurrency.parallel import parallel_exhaustive
-
     explored = parallel_exhaustive(
         program, max_runs=max_runs, stop_on_failure=stop_at_first, jobs=jobs
     )
@@ -144,12 +131,11 @@ def check_program_all_schedules(
         schedules_run=explored.num_runs, exhausted=explored.exhausted
     )
     for record in explored.failures:
-        error = record.error
-        details = getattr(error, "details", None)
-        if details is not None:
-            result.violations.append(ScheduleViolation(record.schedule, details))
-        else:
-            result.violations.append(ScheduleViolation(record.schedule, None, error))
+        details = getattr(record.error, "details", None)
+        error = record.error if details is None else None
+        result.violations.append(
+            ScheduleViolation(record.schedule, details, error)
+        )
     return result
 
 
@@ -164,5 +150,5 @@ def replay_schedule(
 
 class _RefinementFailure(Exception):
     def __init__(self, outcome: CheckOutcome):
-        self.outcome = outcome
+        self.details = outcome
         super().__init__(outcome.summary())

@@ -66,7 +66,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..concurrency.parallel import parallel_swarm
+from ..concurrency.parallel import parallel_swarm, swarm_chunk_size
 from ..core.log import load_log, recover_log, save_log, verify_chain
 from ..harness.runner import ProgramSpec, run_program
 from .inject import apply_log_faults
@@ -176,8 +176,8 @@ class FaultCampaignReport:
 
 
 def _expected_chunks(num_runs: int, jobs: int) -> int:
-    """Mirror parallel_swarm's default chunking to size fault-plan targeting."""
-    chunk_size = max(1, -(-num_runs // (jobs * 4)))
+    """parallel_swarm's default chunk count, to size fault-plan targeting."""
+    chunk_size = swarm_chunk_size(num_runs, jobs)
     return -(-num_runs // chunk_size)
 
 

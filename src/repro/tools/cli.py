@@ -791,10 +791,12 @@ def _cmd_explore(args) -> int:
         variant = "buggy" if args.buggy else "correct"
         coverage = ""
         if args.mode == "exhaustive":
-            coverage = (
-                " (schedule space exhausted)" if result.exhausted
-                else " (budget reached)"
-            )
+            if result.exhausted:
+                coverage = " (schedule space exhausted)"
+            elif args.stop_on_failure and result.failures:
+                coverage = " (stopped at first failure)"
+            else:
+                coverage = " (budget reached)"
         print(
             f"explored {args.program} ({variant}, {args.mode}, jobs={args.jobs}): "
             f"{result.num_runs} runs in {elapsed:.2f}s "

@@ -159,7 +159,9 @@ def test_reducer_independent_requires_method_and_commutation():
 
 def test_reduced_covers_same_outcomes_with_fewer_runs():
     base = explore_exhaustive(_disjoint_program, max_runs=100_000)
-    red = explore_exhaustive(_disjoint_program, max_runs=100_000, reducer=_IND)
+    red = parallel_exhaustive(
+        _disjoint_program, max_runs=100_000, jobs=1, reducer=_IND
+    )
     assert base.exhausted and red.exhausted
     assert base.outcomes() == red.outcomes()
     assert red.num_runs < base.num_runs
@@ -167,7 +169,9 @@ def test_reduced_covers_same_outcomes_with_fewer_runs():
 
 
 def test_reduced_accounting_invariant():
-    red = explore_exhaustive(_disjoint_program, max_runs=100_000, reducer=_IND)
+    red = parallel_exhaustive(
+        _disjoint_program, max_runs=100_000, jobs=1, reducer=_IND
+    )
     assert red.skipped == red.pruned
     assert red.requested == red.num_runs + red.skipped
     payload = red.to_dict()
@@ -179,15 +183,17 @@ def test_opaque_reducer_never_prunes():
     """Steps outside any known @operation are dependent with everything,
     so an empty reducer must enumerate the exact unreduced tree."""
     base = explore_exhaustive(_racy_program, max_runs=10_000)
-    red = explore_exhaustive(_racy_program, max_runs=10_000, reducer=_EMPTY)
+    red = parallel_exhaustive(
+        _racy_program, max_runs=10_000, jobs=1, reducer=_EMPTY
+    )
     assert red.num_runs == base.num_runs
     assert red.pruned == 0
     assert red.outcomes() == base.outcomes() == {1, 2}
 
 
 def test_serial_and_parallel_reduced_agree():
-    serial = explore_exhaustive(
-        _disjoint_program, max_runs=100_000, reducer=_IND
+    serial = parallel_exhaustive(
+        _disjoint_program, max_runs=100_000, jobs=1, reducer=_IND
     )
     par = parallel_exhaustive(
         _disjoint_program, max_runs=100_000, jobs=2, chunk_size=4,

@@ -1,5 +1,7 @@
 """End-to-end observability: determinism, honesty, serial==parallel merge."""
 
+import pytest
+
 from repro.harness import explore_program, run_program
 from repro.obs import MetricsRecorder
 
@@ -105,6 +107,22 @@ def test_exhaustive_explore_merges_metrics_too():
     parallel = explore_program("multiset-vector", jobs=2, **kwargs)
     assert parallel.metrics is not None
     assert parallel.metrics["counters"]["kernel.steps"] > 0
+
+
+@pytest.mark.parametrize("reduce", [None, "static"])
+def test_exhausted_exhaustive_metrics_identical_serial_vs_parallel(reduce):
+    # A campaign that covers its whole schedule tree runs the same schedules
+    # at every job count, so its merged metrics must match exactly.
+    kwargs = dict(mode="exhaustive", num_threads=2, calls_per_thread=1,
+                  workload_seed=7, daemons=False, fingerprint=True,
+                  metrics=True, reduce=reduce)
+    serial = explore_program("blinktree", jobs=1, **kwargs)
+    parallel = explore_program("blinktree", jobs=2, **kwargs)
+    assert serial.exhausted and parallel.exhausted
+    assert serial.signature() == parallel.signature()
+    assert serial.metrics is not None
+    assert serial.metrics == parallel.metrics
+    assert serial.metrics["counters"]["kernel.steps"] > 0
 
 
 def test_metrics_do_not_change_the_explored_outcomes():

@@ -319,6 +319,21 @@ def test_explore_exhaustive_budget_human_output(capsys):
     assert "3 runs" in out
 
 
+def test_explore_exhaustive_stop_on_failure_human_output(capsys):
+    # the first violating schedule comes long before the 5000-run budget
+    code = main([
+        "explore", "--program", "multiset-vector", "--buggy",
+        "--mode", "exhaustive", "--threads", "2", "--calls", "1",
+        "--workload-seed", "16", "--no-daemons", "--stop-on-failure",
+        "--max-runs", "5000",
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "(stopped at first failure)" in out
+    assert "budget reached" not in out
+    assert "1 failing schedule(s)" in out
+
+
 def test_explore_reduce_static_json_accounting(capsys):
     import json
 
