@@ -399,6 +399,12 @@ class RefinementChecker:
             self._ingest(actions)
 
     def _ingest(self, actions: Iterable[Action]) -> None:
+        if self._stopped:
+            # Nothing after the stop is ever processed: only the position
+            # moves, so a stopped checker's buffer (and checkpoint) stays
+            # bounded however much input it is still handed.
+            self._next_seq += sum(1 for _ in actions)
+            return
         for action in actions:
             seq = self._next_seq
             self._next_seq += 1

@@ -259,6 +259,8 @@ class OnlineVerifier:
     When the session was built with ``races=...``, the same tail feeds an
     incremental :class:`~repro.races.RaceChecker`, so race detection runs
     alongside refinement; read the result with :meth:`finalize_races`.
+    Both live in :attr:`checkers` and are fed, parked and finished by the
+    same loops.
     """
 
     def __init__(self, session: Vyrd, stop_at_first: bool = True):
@@ -267,10 +269,12 @@ class OnlineVerifier:
         self.race_checker = (
             session.new_race_checker() if session.races is not None else None
         )
+        self.checkers = [self.checker]
+        if self.race_checker is not None:
+            self.checkers.append(self.race_checker)
         self.cursor = 0
         self.thread: Optional[SimThread] = None
-        self._finalized: Optional[CheckOutcome] = None
-        self._race_outcome = None
+        self._outcomes: Optional[list] = None
 
     def _consume(self) -> None:
         log = self.session.log
@@ -292,15 +296,12 @@ class OnlineVerifier:
                 self._feed_checkers(fresh)
 
     def _feed_checkers(self, fresh) -> None:
-        if not self.checker.stopped:
-            self.checker.feed(fresh)
-        if self.race_checker is not None and not self.race_checker.stopped:
-            self.race_checker.feed(fresh)
+        for checker in self.checkers:
+            if not checker.stopped:
+                checker.feed(fresh)
 
     def _done(self) -> bool:
-        if not self.checker.stopped:
-            return False
-        return self.race_checker is None or self.race_checker.stopped
+        return all(checker.stopped for checker in self.checkers)
 
     def _body(self, ctx):
         # Park (finish the daemon generator) once every checker has stopped:
@@ -322,19 +323,21 @@ class OnlineVerifier:
         """True once the online race checker has reported a race."""
         return self.race_checker is not None and self.race_checker.detected
 
-    def finalize(self) -> CheckOutcome:
-        """Consume whatever the run left in the log and finish the check."""
-        if self._finalized is None:
+    def _finish(self) -> list:
+        """Consume whatever the run left in the log, then finish every
+        checker once; the outcomes in :attr:`checkers` order."""
+        if self._outcomes is None:
             if not self._done():
                 self._consume()
-            self._finalized = self.checker.finish()
-        return self._finalized
+            self._outcomes = [checker.finish() for checker in self.checkers]
+        return self._outcomes
+
+    def finalize(self) -> CheckOutcome:
+        """Finish the online refinement check."""
+        return self._finish()[0]
 
     def finalize_races(self):
         """Finish the online race check (requires ``Vyrd(races=...)``)."""
         if self.race_checker is None:
             raise ValueError("race detection not enabled for this session")
-        if self._race_outcome is None:
-            self.finalize()
-            self._race_outcome = self.race_checker.finish()
-        return self._race_outcome
+        return self._finish()[1]

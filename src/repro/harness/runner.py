@@ -162,30 +162,16 @@ def run_program(
     start = time.process_time()
     kernel.run()
     run_cpu = time.process_time() - start
-    obs_rec = vyrd.obs
-    if obs_rec.enabled:
-        with obs_rec.span("harness.finalize", cat="harness"):
-            online_outcome = verifier.finalize() if verifier is not None else None
-            race_outcome = None
+    with vyrd.obs.span("harness.finalize", cat="harness"):
+        online_outcome = race_outcome = linz_outcome = None
+        if verifier is not None:
+            online_outcome = verifier.finalize()
             if races:
-                race_outcome = (
-                    verifier.finalize_races() if verifier is not None
-                    else vyrd.check_races()
-                )
-            linz_outcome = (
-                vyrd.check_linearizability() if vyrd.linearizability else None
-            )
-    else:
-        online_outcome = verifier.finalize() if verifier is not None else None
-        race_outcome = None
-        if races:
-            race_outcome = (
-                verifier.finalize_races() if verifier is not None
-                else vyrd.check_races()
-            )
-        linz_outcome = (
-            vyrd.check_linearizability() if vyrd.linearizability else None
-        )
+                race_outcome = verifier.finalize_races()
+        elif races:
+            race_outcome = vyrd.check_races()
+        if vyrd.linearizability:
+            linz_outcome = vyrd.check_linearizability()
     return RunResult(
         program, built, vyrd, kernel, run_cpu, online_outcome, race_outcome,
         lint_findings, obs, linz_outcome,

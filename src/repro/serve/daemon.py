@@ -10,7 +10,11 @@ cooperate per session:
 * the **checker** thread drains the queue, appends to the canonical
   in-memory history, and feeds the incremental refinement (and optional
   race) checkers -- the paper's online verifier, decoupled from the
-  producing process entirely.
+  producing process entirely.  Every checker lives in one slot and goes
+  through one loop: each is fed from its own start (a restored
+  checkpoint's ``resume_seq`` for refinement, record zero for races),
+  never once it has stopped, and is checkpointed, shed, caught up and
+  finished under the same rules.
 
 Backpressure runs end to end: when the checker lags, the bounded queue
 fills and the ingest thread blocks on ``put``; crossing the high watermark
@@ -30,14 +34,17 @@ The session is *self-healing* along three axes (ARCHITECTURE §14):
   poll and checkpoint write retries transient failures with backoff,
   surfacing a typed :class:`~repro.serve.retry.StoreUnavailable` only after
   the budget is spent.
-* **checker failure** -- a crashed (or, opt-in, hopelessly lagging) checker
-  *degrades* the session to record-only mode instead of killing it: ingest
-  keeps appending to the canonical history (PAUSE semantics intact, so
-  producers are never wedged), a health heartbeat reports the degradation
+* **checker failure** -- a crashed checker (or, opt-in, every checker once
+  the queue lags hopelessly) is *shed*: the session degrades to
+  record-only mode for it instead of dying.  Ingest keeps appending to the
+  canonical history (PAUSE semantics intact, so producers are never
+  wedged), a health heartbeat reports the degradation
   (``<session>/HEALTH.json`` + ``obs`` counters), and once the stream
-  drains the daemon runs **offline catch-up verification** from the last
-  checkpoint -- the final verdict is byte-identical to the never-degraded
-  run because it is computed over the same canonical history.
+  drains the daemon runs **offline catch-up verification**: a lag-shed
+  checker resumes where it stopped, a crashed one is rebuilt -- from the
+  last checkpoint if it can ``restore()``, else from record zero.  The
+  final verdicts are byte-identical to the never-degraded run because
+  they are computed over the same canonical history.
 
 :func:`serve_campaign` is the long-lived service shape: producer
 subprocesses are forked per session and any number of sessions are verified
@@ -49,7 +56,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..core import (
     CheckOutcome,
@@ -244,6 +251,26 @@ class ServeResult:
         }
 
 
+@dataclass
+class _CheckerSlot:
+    """One checker's life in a session: built, fed, maybe shed, caught up.
+
+    ``start`` is the first canonical seq the checker is fed (its restored
+    checkpoint's ``resume_seq``, else 0); ``verified`` counts the canonical
+    records it has accounted for, the point a lag-shed checker resumes
+    from; ``unsaved`` counts records fed since its last checkpoint."""
+
+    name: str  # as it appears in degradation and error messages
+    result_attr: str  # the ServeResult field its verdict fills
+    factory: Callable
+    checker: Any = None
+    start: int = 0
+    verified: int = 0
+    unsaved: int = 0
+    shed: bool = False
+    crashed: bool = False
+
+
 class ServeSession:
     """Ingest, merge and verify one session's shard streams online.
 
@@ -252,6 +279,9 @@ class ServeSession:
     checker_factory / race_checker_factory:
         Zero-arg builders of the incremental checkers (see
         :func:`session_checkers`); either may be None to skip that check.
+        Both run through the same loop: each is fed from its own start,
+        never once it has stopped, and is shed, caught up and finished
+        under the same rules (ARCHITECTURE §14).
     queue_records:
         Bound of the ingest->checker queue; the memory cap and the
         backpressure trigger.
@@ -262,26 +292,32 @@ class ServeSession:
         Artificial per-batch checker stall (seconds) -- the test hook that
         forces checker lag so backpressure determinism can be exercised.
     timeout:
-        Wall-clock bound on the whole session; exceeded => incomplete.
+        Idle deadline (seconds): the session fails as incomplete once
+        ingest has made no progress for this long.  It resets on every
+        decoded frame, so a slow producer that keeps dribbling records may
+        run for far longer in total.
     checkpoint_every:
         When > 0, the checker thread writes a refinement-checker checkpoint
         blob (``<session>/CHECKPOINT.vyrdckpt``) into the store every that
         many checked records, so a killed daemon can resume mid-log.
     resume:
-        Try to restore the refinement checker from the session's checkpoint
-        blob before verifying.  The canonical history still re-ingests every
-        record (the stream signature must not depend on where verification
-        restarted); only the checker skips records below the checkpoint's
-        ``resume_seq``.  A missing blob starts from record zero silently; a
-        corrupt or mismatched blob is reported in ``stats`` and likewise
-        falls back to record zero.
+        Try to restore every checker that has ``restore()`` (the refinement
+        checker) from the session's checkpoint blob before verifying.  The
+        canonical history still re-ingests every record (the stream
+        signature must not depend on where verification restarted); only
+        the restored checker skips records below the checkpoint's
+        ``resume_seq`` -- the race checker still sees every record.  A
+        missing blob starts from record zero silently; a corrupt or
+        mismatched blob is reported in ``stats`` and likewise falls back to
+        record zero.
     degrade_lag / degrade_after:
         Opt-in lag shedding: when the queue holds ``degrade_lag`` or more
         records continuously for ``degrade_after`` seconds, the session
-        degrades to record-only mode (the live checker stops being fed;
+        degrades to record-only mode (every live checker stops being fed;
         ingest and the canonical history continue; catch-up verification
-        runs at drain).  ``degrade_lag`` should sit below ``queue_records``
-        or backpressure caps the depth before the threshold can trip.
+        resumes each one at drain).  ``degrade_lag`` should sit below
+        ``queue_records`` or backpressure caps the depth before the
+        threshold can trip.
     heartbeat_interval:
         Seconds between health-blob writes (``<session>/HEALTH.json``);
         ``0`` disables the periodic heartbeat (the final health snapshot is
@@ -313,8 +349,15 @@ class ServeSession:
         self.store = store
         self.session = session
         self.num_shards = num_shards
-        self.checker_factory = checker_factory
-        self.race_checker_factory = race_checker_factory
+        # one slot per configured checker, in feed order
+        self._slots = [
+            _CheckerSlot(name, result_attr, factory)
+            for name, result_attr, factory in (
+                ("checker", "outcome", checker_factory),
+                ("race checker", "race_outcome", race_checker_factory),
+            )
+            if factory is not None
+        ]
         self.queue = BoundedQueue(queue_records)
         # An enqueue chunk larger than the queue bound could never fit and
         # would wedge ingest until the session timeout; clamp, don't trust
@@ -344,15 +387,11 @@ class ServeSession:
         self._checker_error: Optional[str] = None
         self._paused = False
         self._pauses = 0
-        self._resume_seq = 0
+        self._resumed_from = 0
         self._resume_rejected: Optional[str] = None
         self._checkpoints_saved = 0
         self._checkpoint_failures = 0
         # degradation / health state
-        self._checker_shed = False
-        self._checker_crashed = False
-        self._race_shed = False
-        self._shed_seq = 0  # records the live checker had fully verified
         self._degraded_reason: Optional[str] = None
         self._catchup_from = 0
         self._catchup_records = 0
@@ -468,27 +507,29 @@ class ServeSession:
 
     # -- checker side --------------------------------------------------------
 
-    def _restore_from_blob(self, checker) -> int:
-        """Restore ``checker`` from the checkpoint blob; returns resume seq.
+    def _build(self, slot: _CheckerSlot, restore: bool) -> None:
+        """(Re)build ``slot``'s checker, restored from the session's
+        checkpoint blob when ``restore`` is set and it has ``restore()``.
 
         Failures never abort the session: a checkpoint is an optimization,
-        so a bad one just means verifying from record zero again."""
+        so a missing or bad one just means verifying from record zero."""
+        slot.checker, slot.start = slot.factory(), 0
+        if not (restore and hasattr(slot.checker, "restore")):
+            return
         try:
             blob = self.store.get_bytes(checkpoint_blob_name(self.session))
         except (KeyError, OSError):  # no checkpoint published yet
-            return 0
+            return
         try:
             checkpoint = Checkpoint.from_bytes(blob)
-            checker.restore(checkpoint)
+            slot.checker.restore(checkpoint)
         except CheckpointError as exc:
             self._resume_rejected = str(exc)
-            return 0
-        return checkpoint.resume_seq
-
-    def _maybe_restore(self, checker) -> None:
-        if checker is None or not self.resume:
+            # A rejected restore may have touched nothing, but a fresh
+            # build is the only state worth trusting.
+            slot.checker = slot.factory()
             return
-        self._resume_seq = self._restore_from_blob(checker)
+        slot.start = checkpoint.resume_seq
 
     def _save_checkpoint(self, checker) -> None:
         checkpoint = checker.checkpoint(
@@ -501,20 +542,17 @@ class ServeSession:
 
     # -- degradation ---------------------------------------------------------
 
-    def _shed(self, reason: str, *, race: bool = False,
+    def _shed(self, slots: List[_CheckerSlot], reason: str,
               crashed: bool = False) -> None:
-        """Degrade to record-only mode: stop feeding a failed checker.
+        """Degrade to record-only mode: stop feeding ``slots`` live.
 
         Ingest, the canonical history and PAUSE semantics all continue --
         durability is never sacrificed to a sick checker.  Catch-up
         verification at drain recomputes the authoritative verdict over the
         same canonical history, so the final outcome is identical to a
         never-degraded session."""
-        if race:
-            self._race_shed = True
-        else:
-            self._checker_shed = True
-            self._checker_crashed = self._checker_crashed or crashed
+        for slot in slots:
+            slot.shed, slot.crashed = True, crashed
         if self._degraded_reason is None:
             self._degraded_reason = reason
         else:
@@ -522,12 +560,47 @@ class ServeSession:
         if self.obs.enabled:
             self.obs.count("serve.degraded", 1)
 
-    def _check(self, checker, race_checker) -> None:
+    @property
+    def _degraded(self) -> bool:
+        return any(slot.shed for slot in self._slots)
+
+    def _feed(self, slot: _CheckerSlot, batch: List[Action],
+              position: int) -> None:
+        """Feed one live checker its share of ``batch`` (canonical seqs
+        from ``position``): nothing below its start, nothing once stopped.
+        Checkpoints ride on the feeds of a checker that can make them."""
+        skip = slot.start - position
+        fresh = batch if skip <= 0 else batch[skip:]
+        if fresh and not slot.checker.stopped:
+            try:
+                slot.checker.feed(fresh)
+            except FATAL_CHECKER_EXCEPTIONS:
+                # Not retryable: degrading would re-feed the same records
+                # at catch-up.  Surface on the result via _check's handler.
+                raise
+            except Exception as exc:
+                self._shed([slot], f"{slot.name} crashed: {exc!r}",
+                           crashed=True)
+                return
+            if self.checkpoint_every and hasattr(slot.checker, "checkpoint"):
+                slot.unsaved += len(fresh)
+                if slot.unsaved >= self.checkpoint_every:
+                    slot.unsaved = 0
+                    try:
+                        self._save_checkpoint(slot.checker)
+                    except FATAL_CHECKER_EXCEPTIONS:
+                        raise
+                    except Exception:
+                        # A checkpoint is an optimization; a store refusing
+                        # one must not degrade (let alone kill) the session.
+                        self._checkpoint_failures += 1
+        slot.verified = position + len(batch)
+
+    def _check(self) -> None:
         # Canonical position of the next record this thread will see; the
         # merger emits records in sequence order, so a running counter is the
         # global sequence number.
         position = 0
-        since_checkpoint = 0
         lag_since: Optional[float] = None
         try:
             while True:
@@ -535,122 +608,63 @@ class ServeSession:
                 if batch is None:
                     return
                 self._canonical.extend(batch)
-                fresh = batch
-                if position < self._resume_seq:
-                    # Already verified before the checkpoint was taken: the
-                    # canonical history keeps them (signature identity), the
-                    # checker must not see them twice.
-                    skip = min(len(batch), self._resume_seq - position)
-                    fresh = batch[skip:]
+                for slot in self._slots:
+                    if not slot.shed:
+                        self._feed(slot, batch, position)
                 position += len(batch)
-                if checker is not None and not self._checker_shed and fresh:
-                    try:
-                        checker.feed(fresh)
-                    except FATAL_CHECKER_EXCEPTIONS:
-                        # Not retryable: degrading would re-feed the same
-                        # records at catch-up.  Surface on the result via
-                        # the outer handler.
-                        raise
-                    except Exception as exc:
-                        self._shed(
-                            f"checker crashed: {exc!r}", crashed=True
-                        )
-                    else:
-                        if self.checkpoint_every:
-                            since_checkpoint += len(fresh)
-                            if since_checkpoint >= self.checkpoint_every:
-                                try:
-                                    self._save_checkpoint(checker)
-                                except FATAL_CHECKER_EXCEPTIONS:
-                                    raise
-                                except Exception:
-                                    # A checkpoint is an optimization; a
-                                    # store refusing one must not degrade
-                                    # (let alone kill) the session.
-                                    self._checkpoint_failures += 1
-                                since_checkpoint = 0
-                if checker is not None and not self._checker_shed:
-                    # Everything up to here is verified (records below the
-                    # resume seq count: the checkpoint covers them) -- the
-                    # point a lag-shed checker resumes from at catch-up.
-                    self._shed_seq = position
-                if race_checker is not None and not self._race_shed:
-                    try:
-                        race_checker.feed(batch)
-                    except FATAL_CHECKER_EXCEPTIONS:
-                        raise
-                    except Exception as exc:
-                        self._shed(
-                            f"race checker crashed: {exc!r}", race=True
-                        )
                 self._checked += len(batch)
-                if (
-                    self.degrade_lag is not None
-                    and not self._checker_shed
-                    and checker is not None
-                ):
+                live = [slot for slot in self._slots if not slot.shed]
+                if self.degrade_lag is not None and live:
                     if self.queue.depth >= self.degrade_lag:
                         now = time.monotonic()
                         if lag_since is None:
                             lag_since = now
                         elif now - lag_since >= self.degrade_after:
-                            self._shed(
+                            self._shed(live, (
                                 f"checker lag: queue depth "
                                 f"{self.queue.depth} >= {self.degrade_lag} "
                                 f"for {self.degrade_after}s"
-                            )
+                            ))
+                            live = []
                     else:
                         lag_since = None
-                if self.checker_delay and not self._checker_shed:
+                if self.checker_delay and live:
                     time.sleep(self.checker_delay)
         except Exception as exc:  # surfaced on the result, not swallowed
             self._checker_error = f"checker: {exc!r}"
 
-    def _catch_up(self, live_checker, live_race_checker):
+    def _catch_up(self) -> None:
         """Offline catch-up verification after a degraded session.
 
         Runs once the stream has drained, over the canonical in-memory
         history -- the exact record sequence a healthy online checker saw.
         A *lag-shed* checker is still correct, so it simply resumes from
         where it stopped; a *crashed* checker is replaced by a fresh one
-        restored from the last durable checkpoint (or record zero).
-        Returns the authoritative ``(checker, race_checker)`` pair."""
-        checker, race_checker = live_checker, live_race_checker
-        if self._checker_shed and self.checker_factory is not None:
-            if self._checker_crashed:
-                checker = self.checker_factory()
-                start = self._restore_from_blob(checker)
-                if self._resume_rejected is not None and start == 0:
-                    # A rejected restore may have touched nothing, but a
-                    # fresh build is the only state worth trusting here.
-                    checker = self.checker_factory()
+        restored from the last durable checkpoint (or record zero)."""
+        starts = []
+        for slot in self._slots:
+            if not slot.shed:
+                continue
+            if slot.crashed:
+                self._build(slot, restore=True)
             else:
-                start = self._shed_seq
-            self._catchup_from = start
-            records = self._canonical[start:]
-            self._catchup_records = len(records)
+                slot.start = max(slot.start, slot.verified)
+            starts.append(slot.start)
+            records = self._canonical[slot.start:]
             try:
-                if records:
-                    checker.feed(records)
+                if records and not slot.checker.stopped:
+                    slot.checker.feed(records)
             except Exception as exc:
                 # The fault was not transient: this history cannot be
                 # verified by this checker at all.  Surface it.
-                self._checker_error = f"catch-up checker: {exc!r}"
-                checker = None
-        if self._race_shed and self.race_checker_factory is not None:
-            race_checker = self.race_checker_factory()
-            try:
-                if self._canonical:
-                    race_checker.feed(list(self._canonical))
-            except Exception as exc:
-                self._checker_error = (
-                    (self._checker_error + "; " if self._checker_error
-                     else "") + f"catch-up race checker: {exc!r}"
-                )
-                race_checker = None
+                self._checker_error = "; ".join(filter(None, (
+                    self._checker_error, f"catch-up {slot.name}: {exc!r}"
+                )))
+                slot.checker = None
+        self._catchup_from = min(starts, default=0)
+        self._catchup_records = len(self._canonical) - self._catchup_from
         if self.obs.enabled and self._catchup_records:
             self.obs.count("serve.catchup_records", self._catchup_records)
-        return checker, race_checker
 
     # -- health --------------------------------------------------------------
 
@@ -658,7 +672,7 @@ class ServeSession:
         return {
             "session": self.session,
             "state": state,
-            "degraded": self._checker_shed or self._race_shed,
+            "degraded": self._degraded,
             "degraded_reason": self._degraded_reason,
             "ingested": self._ingested,
             "checked": self._checked,
@@ -695,19 +709,18 @@ class ServeSession:
     def _heartbeat(self, stop: threading.Event) -> None:
         while not stop.wait(self.heartbeat_interval):
             self._heartbeats += 1
-            degraded = self._checker_shed or self._race_shed
-            self._write_health("degraded" if degraded else "serving")
+            self._write_health("degraded" if self._degraded else "serving")
 
     # -- the session -----------------------------------------------------------
 
     def run(self, process=None) -> ServeResult:
         """Drive ingest + checking to completion; ``process`` (optional) is
         the producer handle used to detect an abandoned session."""
-        checker = self.checker_factory() if self.checker_factory else None
-        race_checker = (
-            self.race_checker_factory() if self.race_checker_factory else None
+        for slot in self._slots:
+            self._build(slot, restore=self.resume)
+        self._resumed_from = max(
+            (slot.start for slot in self._slots), default=0
         )
-        self._maybe_restore(checker)
         obs = self.obs
         heartbeat_stop = threading.Event()
         heartbeat = None
@@ -717,7 +730,7 @@ class ServeSession:
                 name=f"serve-ingest-{self.session}", daemon=True,
             )
             check = threading.Thread(
-                target=self._check, args=(checker, race_checker),
+                target=self._check,
                 name=f"serve-check-{self.session}", daemon=True,
             )
             if self.heartbeat_interval > 0:
@@ -733,22 +746,19 @@ class ServeSession:
             if heartbeat is not None:
                 heartbeat_stop.set()
                 heartbeat.join(timeout=5.0)
-            if self._checker_shed or self._race_shed:
+            if self._degraded:
                 with obs.span(
                     "serve.catchup", cat="serve", session=self.session
                 ):
-                    checker, race_checker = self._catch_up(
-                        checker, race_checker
-                    )
+                    self._catch_up()
         result = ServeResult(session=self.session)
         result.manifest = self._manifest
         result.records = len(self._canonical)
         result.signature = log_signature(self._canonical)
-        result.degraded = self._checker_shed or self._race_shed
-        if checker is not None:
-            result.outcome = checker.finish()
-        if race_checker is not None:
-            result.race_outcome = race_checker.finish()
+        result.degraded = self._degraded
+        for slot in self._slots:
+            if slot.checker is not None:
+                setattr(result, slot.result_attr, slot.checker.finish())
         result.error = self._ingest_error or self._checker_error
         result.complete = (
             self._manifest is not None
@@ -773,7 +783,7 @@ class ServeSession:
             ),
             "checkpoints_saved": self._checkpoints_saved,
             "checkpoint_failures": self._checkpoint_failures,
-            "resumed_from_seq": self._resume_seq,
+            "resumed_from_seq": self._resumed_from,
             "checkpoint_rejected": self._resume_rejected,
             "degraded_reason": self._degraded_reason,
             "catchup_from_seq": self._catchup_from,

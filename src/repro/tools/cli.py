@@ -828,18 +828,6 @@ def _cmd_explore(args) -> int:
     return 0 if not result.failures else 1
 
 
-def _checker_for(program_name: str, mode: str, stop_at_first: bool) -> RefinementChecker:
-    built = PROGRAMS[program_name].build(False, 1)
-    return RefinementChecker(
-        built.spec_factory(),
-        mode=mode,
-        impl_view=built.view_factory() if mode == "view" else None,
-        invariants=built.invariants if mode == "view" else (),
-        replay_registry=built.replay_registry,
-        stop_at_first=stop_at_first,
-    )
-
-
 def _emit_json(payload, log) -> None:
     """Shared ``--json`` plumbing: attach well-formedness and print.
 
@@ -890,7 +878,12 @@ def _cmd_check(args) -> int:
         return _check_linz_log(args, log, recovery)
     if mode == "both":
         return _check_both(args, log, recovery)
-    checker = _checker_for(args.program, mode, stop_at_first=not args.all)
+    from ..serve import session_checkers
+
+    make_checker, _ = session_checkers(
+        args.program, mode=mode, stop_at_first=not args.all
+    )
+    checker = make_checker()
     resume_info = None
     start_seq = 0
     if args.resume:
@@ -909,8 +902,7 @@ def _cmd_check(args) -> int:
             if not args.json:
                 print(f"warning: checkpoint rejected ({exc}); "
                       "replaying from record zero", file=sys.stderr)
-            checker = _checker_for(args.program, mode,
-                                   stop_at_first=not args.all)
+            checker = make_checker()
     actions = list(log)[start_seq:]
     every = max(0, args.checkpoint_every)
     if every and args.checkpoint:

@@ -164,3 +164,31 @@ def test_op_bookkeeping_stays_bounded_over_long_logs():
     # an execution mid-flight is the only thing allowed to occupy a slot
     checker.feed([CallAction(0, 999, "set", (1,))])
     assert len(checker._ops) == 1
+
+
+def test_stopped_checker_drops_later_input():
+    """A checker stopped at its first violation must not keep buffering the
+    records it will never process (nor carry them in its checkpoint); it
+    still counts them, and its verdict is the single-shot feed's."""
+    from repro.harness.runner import run_program
+    from repro.serve import session_checkers
+
+    run = run_program(
+        "multiset-vector", buggy=True, num_threads=4, calls_per_thread=200,
+        seed=1,
+    )
+    records = list(run.log)
+    make_checker, _ = session_checkers("multiset-vector")
+    straight = make_checker()
+    straight.feed(records)
+    batched = make_checker()
+    held = None
+    for start in range(0, len(records), 256):
+        batched.feed(records[start:start + 256])
+        if batched.stopped:
+            held = len(batched._buffer) if held is None else held
+            assert len(batched._buffer) == held   # no growth after the stop
+    assert held is not None and held < 256        # only the stopping batch
+    assert batched._next_seq == len(records)
+    assert batched.checkpoint().resume_seq == len(records)
+    assert batched.finish().to_dict() == straight.finish().to_dict()

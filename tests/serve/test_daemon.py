@@ -514,3 +514,86 @@ def test_health_blob_published_on_completion():
     assert not health["degraded"]
     assert health["ingested"] == result.records
     assert result.health == health
+
+
+# -- both checkers through the one checker loop ------------------------------
+
+RACE_WORKLOAD = {**WORKLOAD, "log_locks": True, "log_reads": True}
+
+
+def _race_store():
+    store = ObjectStoreStub()
+    produce_session(
+        store, "s", PROG, seed=3, num_shards=2, run_kwargs=RACE_WORKLOAD,
+        throttle=False,
+    )
+    return store
+
+
+def _race_serve(store, race_factory=None, **session_kw):
+    checker_factory, default_race_factory = session_checkers(
+        PROG, races="both"
+    )
+    return ServeSession(
+        store, "s", 2, checker_factory=checker_factory,
+        race_checker_factory=race_factory or default_race_factory,
+        timeout=20.0, **session_kw,
+    ).run()
+
+
+def _verdicts(result):
+    return result.outcome.to_dict(), result.race_outcome.to_dict()
+
+
+def test_race_checker_crash_degrades_and_catches_up():
+    """A crashed race checker is rebuilt at drain and re-fed from record
+    zero (it cannot restore); the catch-up shows in the stats and both
+    verdicts equal the undegraded session's."""
+    store = _race_store()
+    reference = _race_serve(store)
+    assert reference.ok and not reference.degraded
+    _, race_factory = session_checkers(PROG, races="both")
+    armed = {"live": True}
+
+    def factory():
+        checker = race_factory()
+        if armed.pop("live", None):
+            return _CrashOnce(checker, crash_at=20)
+        return checker
+
+    result = _race_serve(store, race_factory=factory, batch_records=8)
+    assert result.ok, result.error
+    assert result.degraded
+    assert "race checker crashed" in result.stats["degraded_reason"]
+    assert result.stats["catchup_from_seq"] == 0
+    assert result.stats["catchup_records"] == result.records
+    assert result.signature == reference.signature
+    assert _verdicts(result) == _verdicts(reference)
+
+
+def test_checker_lag_sheds_both_checkers_and_catches_up():
+    store = _race_store()
+    reference = _race_serve(store)
+    result = _race_serve(
+        store, batch_records=4, checker_delay=0.05,
+        degrade_lag=8, degrade_after=0.05,
+    )
+    assert result.ok, result.error
+    assert result.degraded
+    assert "lag" in result.stats["degraded_reason"]
+    assert result.stats["catchup_records"] > 0
+    assert _verdicts(result) == _verdicts(reference)
+
+
+def test_resume_with_races_feeds_races_every_record():
+    """Refinement resumes from the checkpoint; the race checker, which
+    cannot, still sees every record -- and neither verdict moves."""
+    store = _race_store()
+    first = _race_serve(store, checkpoint_every=40)
+    assert first.ok and first.stats["checkpoints_saved"] >= 1
+    reference = _race_serve(_race_store())
+    resumed = _race_serve(store, resume=True)
+    assert resumed.ok, resumed.error
+    assert resumed.stats["resumed_from_seq"] > 0
+    assert resumed.race_outcome.actions_processed == resumed.records
+    assert _verdicts(resumed) == _verdicts(first) == _verdicts(reference)

@@ -116,12 +116,13 @@ def test_keyboard_interrupt_escapes_the_checker_loop():
     )
     real_factory, _ = session_checkers(PROG)
     session = ServeSession(store, "s", 1, checker_factory=real_factory)
-    checker = _FeedRaises(real_factory(), KeyboardInterrupt())
+    slot = session._slots[0]
+    slot.checker = _FeedRaises(real_factory(), KeyboardInterrupt())
     session.queue.put([object()])              # one batch to trip feed()
     with pytest.raises(KeyboardInterrupt):
-        session._check(checker, None)
+        session._check()
     assert session._checker_error is None
-    assert not session._checker_shed
+    assert not slot.shed
 
 
 def test_system_exit_escapes_the_checker_loop():
@@ -132,11 +133,13 @@ def test_system_exit_escapes_the_checker_loop():
     )
     real_factory, _ = session_checkers(PROG)
     session = ServeSession(store, "s", 1, checker_factory=real_factory)
-    checker = _FeedRaises(real_factory(), SystemExit(3))
+    slot = session._slots[0]
+    slot.checker = _FeedRaises(real_factory(), SystemExit(3))
     session.queue.put([object()])
     with pytest.raises(SystemExit):
-        session._check(checker, None)
+        session._check()
     assert session._checker_error is None
+    assert not slot.shed
 
 
 class _HealthRefusingStore(ObjectStoreStub):
