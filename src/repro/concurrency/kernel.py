@@ -41,6 +41,7 @@ Example
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, List, Optional
@@ -102,8 +103,9 @@ class WriteSys(Syscall):
 
     cell: Any
     value: Any
-    commit: bool = False
+    commit: bool
 
+    __slots__ = ("cell", "value", "commit")
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,9 @@ class ReleaseSys(Syscall):
     """Release a lock.  ``commit`` marks the release as the commit action."""
 
     lock: Any
-    commit: bool = False
+    commit: bool
 
+    __slots__ = ("lock", "commit")
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,9 @@ class RWBeginWriteSys(Syscall):
 @dataclass(frozen=True)
 class RWEndWriteSys(Syscall):
     rwlock: Any
-    commit: bool = False
+    commit: bool
 
+    __slots__ = ("rwlock", "commit")
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,9 @@ class BeginCommitBlockSys(Syscall):
 class EndCommitBlockSys(Syscall):
     """Close the commit block; ``commit`` marks it as the commit action."""
 
-    commit: bool = False
+    commit: bool
 
+    __slots__ = ("commit",)
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,9 @@ class ReplaySys(Syscall):
 
     tag: str
     payload: Any
-    commit: bool = False
+    commit: bool
 
+    __slots__ = ("tag", "payload", "commit")
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,9 @@ class CondNotifySys(Syscall):
     """Wake ``count`` waiters (-1 for all); the caller must hold the lock."""
 
     cond: Any
-    count: int = 1
+    count: int
+
+    __slots__ = ("cond", "count")
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +404,12 @@ class Kernel:
         Observability recorder (:mod:`repro.obs`).  The kernel binds its
         step counter as the recorder's trace clock, so every span recorded
         anywhere in the pipeline is keyed to this kernel's step-time.
+
+    The per-step bookkeeping is incremental.  The ready list holds exactly
+    the ``READY`` threads in tid order and the live counter the unfinished
+    non-daemon threads; both change only where a status does (spawn,
+    :meth:`block`/:meth:`unblock`, a join, a finish, daemon shutdown), so
+    a step costs the same at 2 threads as at 32.
     """
 
     def __init__(
@@ -417,6 +431,11 @@ class Kernel:
         self._tid_counter = itertools.count(0)
         self._running = False
         self.current: Optional[SimThread] = None
+        # The READY threads in tid order, with their tids alongside for
+        # bisection, and the number of unfinished non-daemon threads.
+        self._ready: List[SimThread] = []
+        self._ready_tids: List[int] = []
+        self._live = 0
         # A scheduler exposing ``on_step`` observes every executed step --
         # ``(thread, syscall)`` after its effect applies, ``(thread, None)``
         # when the thread finishes.  Sleep-set reduction
@@ -447,17 +466,16 @@ class Kernel:
         thread.gen = gen
         thread.priority = self.scheduler.initial_priority(thread)
         self.threads.append(thread)
+        # the newest tid is the largest: appending keeps tid order
+        self._ready.append(thread)
+        self._ready_tids.append(tid)
+        if not daemon:
+            self._live += 1
         if self.current is not None:
             # dynamic spawn from a running simulated thread: the fork edge
             # is visible to tracers (race detection needs it)
             self.tracer.on_spawn(self.current.tid, tid)
         return thread
-
-    def _runnable(self) -> List[SimThread]:
-        return [t for t in self.threads if t.status is Status.READY]
-
-    def _app_threads_pending(self) -> bool:
-        return any(not t.daemon and not t.finished for t in self.threads)
 
     # -- main loop ----------------------------------------------------------
 
@@ -477,24 +495,23 @@ class Kernel:
             raise RuntimeError("kernel.run() is not reentrant")
         self._running = True
         obs = self.obs
+        ready = self._ready
+        pick = self.scheduler.pick
+        step = self._observed_step if obs.enabled else self._step
+        max_steps = self.max_steps
         try:
             with obs.span("kernel.run", cat="kernel"):
-                while self._app_threads_pending():
-                    runnable = self._runnable()
-                    if not runnable:
+                while self._live:
+                    if not ready:
                         blocked = [
                             (t.name, t.waiting_reason or "?")
                             for t in self.threads
                             if t.status is Status.BLOCKED and not t.daemon
                         ]
                         raise DeadlockError(blocked)
-                    if self.max_steps is not None and self.steps >= self.max_steps:
-                        raise StepLimitExceeded(self.max_steps)
-                    thread = self.scheduler.pick(runnable, self.steps)
-                    if obs.enabled:
-                        self._observed_step(thread)
-                    else:
-                        self._step(thread)
+                    if max_steps is not None and self.steps >= max_steps:
+                        raise StepLimitExceeded(max_steps)
+                    step(pick(ready, self.steps))
                 self._shutdown_daemons()
         finally:
             self._running = False
@@ -518,10 +535,10 @@ class Kernel:
                 except (StopIteration, KernelStopped):
                     pass
                 except Exception as exc:  # daemon crashed during cleanup
-                    t.status = Status.FAILED
+                    self._retire(t, Status.FAILED)
                     t.exception = exc
                     raise SimThreadError(t, exc)
-                t.status = Status.DONE
+                self._retire(t, Status.DONE)
 
     def _step(self, thread: SimThread) -> None:
         self.steps += 1
@@ -555,39 +572,48 @@ class Kernel:
         if self._step_listener is not None:
             self._step_listener(thread, syscall)
 
-    def _finish(self, thread: SimThread, status: Status, result=None, exception=None) -> None:
+    def _retire(self, thread: SimThread, status: Status) -> None:
+        """Move ``thread`` to a finished ``status``, off the ready list and
+        out of the live count."""
+        if thread.status is Status.READY:
+            self._unready(thread)
+        if not thread.daemon and not thread.finished:
+            self._live -= 1
         thread.status = status
+
+    def _finish(self, thread: SimThread, status: Status, result=None, exception=None) -> None:
+        self._retire(thread, status)
         thread.result = result
         thread.exception = exception
         for joiner in thread.joiners:
-            joiner.status = Status.READY
-            joiner.send_value = result
-            joiner.waiting_reason = None
-            self.tracer.on_join(joiner.tid, thread.tid)
+            if not joiner.finished:
+                self.unblock(joiner, result)
+                self.tracer.on_join(joiner.tid, thread.tid)
         thread.joiners.clear()
 
     # -- syscall dispatch ---------------------------------------------------
 
     def _handle(self, thread: SimThread, syscall) -> None:
-        if isinstance(syscall, Pass):
-            return
+        # the three syscalls that make up almost every step come first
         if isinstance(syscall, ReadSys):
             thread.send_value = syscall.cell._value
             self.tracer.on_read(thread.tid, syscall.cell)
-            return
-        if isinstance(syscall, WriteSys):
-            cell = syscall.cell
-            old = cell._value
-            cell._value = syscall.value
-            self.tracer.on_write(thread.tid, cell, old, syscall.value)
-            if syscall.commit:
-                self.tracer.on_commit(thread.tid)
             return
         if isinstance(syscall, AcquireSys):
             syscall.lock._acquire(self, thread)
             return
         if isinstance(syscall, ReleaseSys):
             syscall.lock._release(self, thread)
+            if syscall.commit:
+                self.tracer.on_commit(thread.tid)
+            return
+        if isinstance(syscall, Pass):
+            return
+        if isinstance(syscall, WriteSys):
+            cell = syscall.cell
+            old = cell._value
+            cell._value = syscall.value
+            self.tracer.on_write(thread.tid, cell, old, syscall.value)
             if syscall.commit:
                 self.tracer.on_commit(thread.tid)
             return
@@ -627,8 +653,7 @@ class Kernel:
                 thread.send_value = target.result
                 self.tracer.on_join(thread.tid, target.tid)
             else:
-                thread.status = Status.BLOCKED
-                thread.waiting_reason = f"join({target.name})"
+                self.block(thread, f"join({target.name})")
                 target.joiners.append(thread)
             return
         if isinstance(syscall, CondWaitSys):
@@ -642,13 +667,28 @@ class Kernel:
     # -- helpers used by primitives ------------------------------------------
 
     def block(self, thread: SimThread, reason: str) -> None:
+        if thread.status is Status.READY:
+            self._unready(thread)
         thread.status = Status.BLOCKED
         thread.waiting_reason = reason
 
     def unblock(self, thread: SimThread, send_value=None) -> None:
+        """Make ``thread`` runnable; a finished thread stays finished (a
+        daemon stopped at shutdown may still sit on a wait queue)."""
+        if thread.finished:
+            return
+        if thread.status is not Status.READY:
+            index = bisect_left(self._ready_tids, thread.tid)
+            self._ready_tids.insert(index, thread.tid)
+            self._ready.insert(index, thread)
         thread.status = Status.READY
         thread.send_value = send_value
         thread.waiting_reason = None
+
+    def _unready(self, thread: SimThread) -> None:
+        index = bisect_left(self._ready_tids, thread.tid)
+        del self._ready_tids[index]
+        del self._ready[index]
 
 
 def run_threads(

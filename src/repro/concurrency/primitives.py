@@ -33,6 +33,23 @@ from .kernel import (
 )
 
 
+def _live_head(queue: deque) -> deque:
+    """Drop finished threads off the front of a wait queue and return it.
+
+    A daemon stopped at kernel shutdown never leaves the queue it blocked
+    on; a later run must neither hand it a lock nor count it as waiting.
+    Within one run no queued thread finishes, so this never drops anyone.
+    """
+    while queue and queue[0].finished:
+        queue.popleft()
+    return queue
+
+
+def _pop_live(queue: deque) -> Optional[SimThread]:
+    """The first unfinished thread of a wait queue, removed; or ``None``."""
+    return queue.popleft() if _live_head(queue) else None
+
+
 class Lock:
     """A reentrant lock for simulated threads.
 
@@ -88,8 +105,8 @@ class Lock:
         if self.depth > 0:
             return
         kernel.tracer.on_release(thread.tid, self)
-        if self.waiters:
-            next_thread = self.waiters.popleft()
+        next_thread = _pop_live(self.waiters)
+        if next_thread is not None:
             self.owner = next_thread.tid
             self.depth = 1
             kernel.unblock(next_thread)
@@ -143,7 +160,7 @@ class RWLock:
         if thread.tid in self.readers:  # reentrant read
             self.readers[thread.tid] += 1
             return
-        if self.writer is None and not self.write_waiters:
+        if self.writer is None and not _live_head(self.write_waiters):
             self.readers[thread.tid] = 1
             kernel.tracer.on_acquire(thread.tid, self, mode="r")
         else:
@@ -186,14 +203,16 @@ class RWLock:
         """Grant the lock to waiters after a release (writer preference)."""
         if self.readers or self.writer is not None:
             return
-        if self.write_waiters:
-            next_writer = self.write_waiters.popleft()
+        next_writer = _pop_live(self.write_waiters)
+        if next_writer is not None:
             self.writer = next_writer.tid
             kernel.unblock(next_writer)
             kernel.tracer.on_acquire(next_writer.tid, self, mode="w")
             return
-        while self.read_waiters:
-            reader = self.read_waiters.popleft()
+        while True:
+            reader = _pop_live(self.read_waiters)
+            if reader is None:
+                return
             self.readers[reader.tid] = 1
             kernel.unblock(reader)
             kernel.tracer.on_acquire(reader.tid, self, mode="r")
@@ -265,12 +284,14 @@ class Condition:
                 f"thread {thread.name!r} notified {self.name!r} without "
                 f"holding lock {self.lock.name!r}"
             )
-        wake = len(self.waiters) if count < 0 else min(count, len(self.waiters))
-        for _ in range(wake):
-            waiter = self.waiters.popleft()
+        while count != 0:  # a negative count never reaches 0: wake all
+            waiter = _pop_live(self.waiters)
+            if waiter is None:
+                return
             # Mesa: the waiter must re-acquire the lock before resuming.
             waiter.waiting_reason = f"lock({self.lock.name})"
             self.lock.waiters.append(waiter)
+            count -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Condition {self.name!r} waiters={len(self.waiters)}>"

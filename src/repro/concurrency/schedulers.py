@@ -26,7 +26,14 @@ from typing import List, Optional, Sequence
 
 
 class Scheduler:
-    """Interface: pick the next thread among ``runnable`` (never empty)."""
+    """Interface: pick the next thread among ``runnable`` (never empty).
+
+    ``runnable`` is the kernel's live ready list, in tid order.  A
+    scheduler may read, sort, index or take a max over it, but must not
+    keep it past the call or mutate it: the kernel updates it in place as
+    threads block, wake and finish.  Copy it (``sorted``, ``list``) to
+    keep it.
+    """
 
     def pick(self, runnable: List, step: int):
         raise NotImplementedError

@@ -273,7 +273,11 @@ class LinzChecker:
             "memo_entries": 0,
         }
         outcome.stats = stats
-        frontier_i = -1
+        # The deepest blocked cursor reached, as ``(i, pending, spec)``.
+        # Recording it is O(1) per node; the report is rendered only if the
+        # search fails.  The spec may be kept by reference: a node's spec is
+        # never mutated after its node is explored (children mutate clones).
+        frontier = None
         order: List[int] = []
         obs = self.obs
         # Depth bounds: one frame per linearized operation.
@@ -282,22 +286,9 @@ class LinzChecker:
             sys.setrecursionlimit(limit)
 
         def note_frontier(i: int, pending: frozenset, spec) -> None:
-            nonlocal frontier_i
-            if i > frontier_i:
-                frontier_i = i
-                _, blocked = events[i]
-                methods = sum(
-                    1 for op in ops.values()
-                    if op.complete and op.return_seq <= blocked.return_seq
-                )
-                stats["frontier"] = {
-                    "op": blocked,
-                    "methods": methods,
-                    "pending": sorted(
-                        ops[oid].describe() for oid in pending
-                    ),
-                    "spec_state": spec.describe(),
-                }
+            nonlocal frontier
+            if frontier is None or i > frontier[0]:
+                frontier = (i, pending, spec)
 
         def explore(i: int, pending: frozenset, linearized: frozenset,
                     spec, fingerprint) -> bool:
@@ -388,9 +379,23 @@ class LinzChecker:
 
         found = explore(0, frozenset(), frozenset(), spec0,
                         spec0.state_fingerprint() if self.memo else None)
-        if obs.enabled and not found:
+        if found:
+            return True, list(order)
+        if obs.enabled:
             obs.count("linz.exhausted_searches")
-        return found, (list(order) if found else None)
+        if frontier is not None:
+            i, pending, spec = frontier
+            _, blocked = events[i]
+            stats["frontier"] = {
+                "op": blocked,
+                "methods": sum(
+                    1 for op in ops.values()
+                    if op.complete and op.return_seq <= blocked.return_seq
+                ),
+                "pending": sorted(ops[oid].describe() for oid in pending),
+                "spec_state": spec.describe(),
+            }
+        return False, None
 
 
 #: Sentinel: "recompute the fingerprint from the spec clone".

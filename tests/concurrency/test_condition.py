@@ -196,3 +196,38 @@ def test_notify_with_no_waiters_is_noop():
     thread = kernel.spawn(body)
     kernel.run()
     assert thread.result == "done"
+
+
+def test_daemon_stopped_while_waiting_does_not_wedge_a_second_run():
+    """A daemon stopped at shutdown stays on the condition's wait queue.
+    A later run's notify + release must not hand the lock to it (its tid
+    would own the lock forever and the re-acquire would deadlock)."""
+    lock = Lock("L")
+    cond = Condition(lock, "c")
+    trace = []
+
+    def daemon(ctx):
+        yield lock.acquire()
+        yield cond.wait()
+
+    def first(ctx):
+        yield ctx.checkpoint()
+
+    def producer(ctx):
+        yield lock.acquire()
+        yield cond.notify()
+        yield lock.release()
+        yield lock.acquire()
+        trace.append("reacquired")
+        yield lock.release()
+
+    kernel = Kernel(scheduler=RoundRobinScheduler())
+    stopped = kernel.spawn(daemon, daemon=True)
+    kernel.spawn(first)
+    kernel.run()
+    assert stopped.finished and list(cond.waiters) == [stopped]
+    kernel.spawn(producer)
+    kernel.run()
+    assert trace == ["reacquired"]
+    assert lock.owner is None and not cond.waiters
+    assert kernel._ready == [] and kernel._live == 0
