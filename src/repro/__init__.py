@@ -72,6 +72,7 @@ from .core import (
     RefinementChecker,
     SpecReject,
     Specification,
+    UnitInvariant,
     Violation,
     ViolationKind,
     Vyrd,
@@ -112,6 +113,7 @@ __all__ = [
     "SpecReject",
     "Specification",
     "ThreadCtx",
+    "UnitInvariant",
     "Violation",
     "ViolationKind",
     "Vyrd",

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..concurrency import Lock, RWLock, SharedCell, ThreadCtx
-from ..core import ContributionView, Invariant, operation
+from ..core import ContributionView, UnitInvariant, operation
 from .chunkmanager import ChunkManager
 
 
@@ -293,6 +293,22 @@ class BoxwoodCache:
     VYRD_CONFLUENT_HELPERS = ("_clean_cell", "_dirty_cell", "_make_new_entry")
 
 
+def _handle_of(loc: str) -> Optional[str]:
+    """The handle a cache or chunk location belongs to, else ``None``.
+
+    Every relevant location name embeds its handle, so this is the unit of
+    both the cache view and the cache invariants."""
+    if loc.startswith("cache.ent"):
+        at = loc.find("@")
+        dot = loc.find(".", at)
+        return loc[at + 1 : dot]
+    if loc.startswith("cache.clean[") or loc.startswith("cache.dirty["):
+        return loc[loc.find("[") + 1 : loc.find("]")]
+    if loc.startswith("chunk["):
+        return loc[6 : loc.find("]")]
+    return None
+
+
 def cache_view(block_size: int = 8) -> ContributionView:
     """``viewI`` for Cache + Chunk Manager (paper section 7.2.1).
 
@@ -301,17 +317,6 @@ def cache_view(block_size: int = 8) -> ContributionView:
     Unit = handle; every relevant location name embeds the handle, so the
     incremental dependency mapping is purely syntactic.
     """
-
-    def unit_of(loc: str) -> Optional[str]:
-        if loc.startswith("cache.ent"):
-            at = loc.find("@")
-            dot = loc.find(".", at)
-            return loc[at + 1 : dot]
-        if loc.startswith("cache.clean[") or loc.startswith("cache.dirty["):
-            return loc[loc.find("[") + 1 : loc.find("]")]
-        if loc.startswith("chunk["):
-            return loc[6 : loc.find("]")]
-        return None
 
     def entry_bytes(state, handle: str, entry_id: int) -> tuple:
         return tuple(
@@ -331,47 +336,46 @@ def cache_view(block_size: int = 8) -> ContributionView:
             return (handle, data)
         return None
 
-    return ContributionView(unit_of=unit_of, contribute=contribute, aggregate="list")
+    return ContributionView(unit_of=_handle_of, contribute=contribute, aggregate="list")
 
 
-def cache_invariants(block_size: int = 8) -> List[Invariant]:
-    """The two runtime invariants of paper section 7.2.1.
+def cache_invariants(block_size: int = 8) -> List[UnitInvariant]:
+    """The two runtime invariants of paper section 7.2.1, per handle.
 
     (i)  a clean entry's bytes equal the corresponding chunk's bytes;
     (ii) a published, unretired entry is in exactly one of the lists.
+
+    Both read only locations of their own handle, so a commit re-evaluates
+    just the handles written since the last one.
     """
 
-    def clean_matches_chunk(state, spec) -> bool:
-        for loc, entry_id in state.items_with_prefix("cache.clean["):
-            if entry_id is None:
-                continue
-            handle = loc[loc.find("[") + 1 : loc.find("]")]
-            chunk = state.get(f"chunk[{handle}].data")
-            cached = tuple(
-                state.get(f"cache.ent{entry_id}@{handle}.data[{i}]", 0)
-                for i in range(block_size)
-            )
-            if chunk != cached:
-                return False
-        return True
+    def clean_matches_chunk(state, handle: str, locs) -> bool:
+        entry_id = state.get(f"cache.clean[{handle}]")
+        if entry_id is None:
+            return True
+        cached = tuple(
+            state.get(f"cache.ent{entry_id}@{handle}.data[{i}]", 0)
+            for i in range(block_size)
+        )
+        return state.get(f"chunk[{handle}].data") == cached
 
-    def entry_in_exactly_one_list(state, spec) -> bool:
-        for loc, published in state.items_with_prefix("cache.ent"):
-            if not loc.endswith(".published") or not published:
+    def entry_in_exactly_one_list(state, handle: str, locs) -> bool:
+        clean = state.get(f"cache.clean[{handle}]")
+        dirty = state.get(f"cache.dirty[{handle}]")
+        for loc in locs:
+            if not loc.endswith(".published") or not state.get(loc):
                 continue
             base = loc[: -len(".published")]
             if state.get(f"{base}.retired"):
                 continue
-            at = base.find("@")
-            entry_id = int(base[len("cache.ent") : at])
-            handle = base[at + 1 :]
-            on_clean = state.get(f"cache.clean[{handle}]") == entry_id
-            on_dirty = state.get(f"cache.dirty[{handle}]") == entry_id
-            if on_clean == on_dirty:  # neither, or both
+            entry_id = int(base[len("cache.ent") : base.find("@")])
+            if (clean == entry_id) == (dirty == entry_id):  # neither, or both
                 return False
         return True
 
     return [
-        Invariant("cache.clean-matches-chunk", clean_matches_chunk),
-        Invariant("cache.entry-in-exactly-one-list", entry_in_exactly_one_list),
+        UnitInvariant("cache.clean-matches-chunk", _handle_of, clean_matches_chunk),
+        UnitInvariant(
+            "cache.entry-in-exactly-one-list", _handle_of, entry_in_exactly_one_list
+        ),
     ]

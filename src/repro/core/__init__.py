@@ -10,7 +10,8 @@ The paper's primary contribution.  Sub-modules:
   rollback and incremental ``viewI`` computation (sections 5, 6.4).
 * :mod:`observer` -- commit-free observer checking (section 4.3).
 * :mod:`refinement` -- the I/O and view refinement checkers.
-* :mod:`invariants` -- runtime invariant hooks (section 7.2.1).
+* :mod:`invariants` -- runtime invariant hooks, whole-state and per-unit
+  (section 7.2.1).
 * :mod:`instrument` -- tracer and data-structure wrapper producing the log.
 * :mod:`verifier` -- the :class:`Vyrd` facade and the online verification
   thread (section 4.2).
@@ -47,7 +48,7 @@ from .instrument import (
     operation,
 )
 from .interleaving import Execution, WitnessInterleaving, build_witness, respects_program_order
-from .invariants import Invariant
+from .invariants import Invariant, UnitInvariant
 from .log import (
     ChainDecoder,
     ChainReport,
@@ -144,6 +145,7 @@ __all__ = [
     "SpecError",
     "SpecReject",
     "Specification",
+    "UnitInvariant",
     "VIEW_ABSENT",
     "ViewComparator",
     "Violation",

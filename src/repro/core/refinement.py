@@ -60,7 +60,7 @@ from .actions import (
 )
 from ..obs import NULL_RECORDER, Recorder
 from .checkpoint import Checkpoint, CheckpointError
-from .invariants import Invariant
+from .invariants import Invariant, UnitInvariant, UnitInvariantCache
 from .log import Log
 from .observer import ObserverTracker
 from .replay import ReplayState
@@ -301,6 +301,18 @@ class ViewComparator:
         self.mismatched = set(payload["mismatched"])
 
 
+def _fan_out(hooks: list):
+    """One callable running every write hook in turn (``None`` for none)."""
+    if len(hooks) <= 1:
+        return hooks[0] if hooks else None
+
+    def on_write(loc: str) -> None:
+        for hook in hooks:
+            hook(loc)
+
+    return on_write
+
+
 class RefinementChecker:
     """Incremental I/O / view refinement checker over a VYRD log.
 
@@ -315,8 +327,11 @@ class RefinementChecker:
         Required in view mode: the :class:`~repro.core.view.ImplView`
         computing ``viewI`` from the replayed state.
     invariants:
-        :class:`~repro.core.invariants.Invariant` objects evaluated at every
-        commit (available in both modes; they force state replay on).
+        :class:`~repro.core.invariants.Invariant` and
+        :class:`~repro.core.invariants.UnitInvariant` objects evaluated at
+        every commit (available in both modes; they force state replay on).
+        Unit invariants are evaluated incrementally, in caches this checker
+        owns, so one invariant tuple can be shared by many checkers.
     replay_registry:
         ``tag -> routine(state, payload)`` for coarse-grained log entries.
     stop_at_first:
@@ -324,7 +339,9 @@ class RefinementChecker:
         time-to-detection methodology); set ``False`` to collect all.
     final_full_check:
         In view mode, cross-check the incremental view against a
-        from-scratch recomputation and the spec view when the log ends.
+        from-scratch recomputation and the spec view when the log ends; in
+        either mode, cross-check the unit invariants' failing units the
+        same way.
     view_at:
         When to compare ``viewI``/``viewS`` in view mode: ``"commit"`` (the
         paper's choice -- at every commit action) or ``"quiescent"`` (only
@@ -364,6 +381,23 @@ class RefinementChecker:
         self.mode = mode
         self.impl_view = impl_view
         self.invariants = list(invariants)
+        # aligned with self.invariants: a unit invariant's failing units,
+        # None for a whole-state invariant; unit invariants sharing a
+        # unit_of share one cache (one index, one lookup per write)
+        self._failing: List[Optional[set]] = []
+        groups: Dict[Any, list] = {}
+        for inv in self.invariants:
+            failing = set() if isinstance(inv, UnitInvariant) else None
+            self._failing.append(failing)
+            if failing is not None:
+                groups.setdefault(inv.unit_of, []).append((inv, failing))
+        self._invariant_caches: List[UnitInvariantCache] = []
+        hooks = [impl_view.on_write] if impl_view is not None else []
+        for unit_of, pairs in groups.items():
+            cache = UnitInvariantCache(unit_of, pairs)
+            self._invariant_caches.append(cache)
+            hooks.append(cache.on_write)
+        self._on_write = _fan_out(hooks)
         self.stop_at_first = stop_at_first
         self.final_full_check = final_full_check
         self.view_at = view_at
@@ -461,8 +495,8 @@ class RefinementChecker:
                 self.replay.apply_write(action.tid, action.loc, action.old, action.new)
                 if self.obs.enabled:
                     self.obs.count("replay.writes")
-                if self.impl_view is not None:
-                    self.impl_view.on_write(action.loc)
+                if self._on_write is not None:
+                    self._on_write(action.loc)
         elif isinstance(action, ReplayAction):
             if self._track_state:
                 if self.obs.enabled:
@@ -477,9 +511,10 @@ class RefinementChecker:
                     written = self.replay.apply_replay(
                         action.tid, action.tag, action.payload
                     )
-                if self.impl_view is not None:
+                on_write = self._on_write
+                if on_write is not None:
                     for loc in written:
-                        self.impl_view.on_write(loc)
+                        on_write(loc)
         elif isinstance(action, BeginCommitBlockAction):
             if self._track_state:
                 try:
@@ -596,18 +631,19 @@ class RefinementChecker:
         if obs.enabled:
             obs.count("replay.overlays")
             obs.observe("replay.overlay_locs", state.overlay_size)
+        # locations other threads' open commit blocks roll back here
+        shadowed = self.replay.open_block_locs(excluding_tid=tid)
         if self.mode == VIEW_MODE and (
             self.view_at == "commit" or where != "commit action"
         ):
-            extra_dirty = self.replay.open_block_locs(excluding_tid=tid)
             if obs.enabled:
                 with obs.span("checker.view_refresh", cat="checker", tid=tid):
-                    view_impl = self.impl_view.refresh(state, extra_dirty)
+                    view_impl = self.impl_view.refresh(state, shadowed)
                 recomputed = getattr(self.impl_view, "last_recomputed", None)
                 if recomputed is not None:
                     obs.observe("view.units_recomputed", recomputed)
             else:
-                view_impl = self.impl_view.refresh(state, extra_dirty)
+                view_impl = self.impl_view.refresh(state, shadowed)
             comparator = self._comparator
             ok, diff = comparator.compare(view_impl)
             if obs.enabled:
@@ -624,15 +660,36 @@ class RefinementChecker:
                     diff=diff,
                 )
                 return
-        for invariant in self.invariants:
-            if not invariant.holds(state, self.spec):
-                self._violate(
-                    ViolationKind.INVARIANT,
-                    seq,
-                    f"invariant {invariant.name!r} violated at commit action",
-                    signature,
-                )
-                return
+        if not self.invariants:
+            return
+        if obs.enabled:
+            with obs.span("checker.invariants", cat="checker", tid=tid):
+                broken = self._broken_invariant(state, shadowed)
+            if self._invariant_caches:
+                obs.observe("invariant.units_rechecked", sum(
+                    cache.last_rechecked for cache in self._invariant_caches
+                ))
+        else:
+            broken = self._broken_invariant(state, shadowed)
+        if broken is not None:
+            self._violate(
+                ViolationKind.INVARIANT,
+                seq,
+                f"invariant {broken.name!r} violated at commit action",
+                signature,
+            )
+
+    def _broken_invariant(self, state, shadowed: set) -> Optional[Invariant]:
+        """The first registered invariant that fails at this commit, if any."""
+        for cache in self._invariant_caches:
+            cache.refresh(state, shadowed)
+        for invariant, failing in zip(self.invariants, self._failing):
+            if failing is None:
+                if not invariant.holds(state, self.spec):
+                    return invariant
+            elif failing:
+                return invariant
+        return None
 
     def _process_return(self, seq: int, action: ReturnAction) -> None:
         self.outcome.methods_checked += 1
@@ -763,8 +820,33 @@ class RefinementChecker:
             self.impl_view.load_state(payload["impl_view"])
         if self._comparator is not None and payload["comparator"] is not None:
             self._comparator.load_state(payload["comparator"], self.spec)
+        if self._invariant_caches:
+            # not in the payload: rebuilt from the replayed state, every
+            # unit dirty, so the next commit re-evaluates them all
+            locs = set(self.replay.raw()) | self.replay.open_block_locs(None)
+            for cache in self._invariant_caches:
+                cache.reset(locs)
 
     # -- finishing ---------------------------------------------------------------------
+
+    def _check_invariant_drift(self) -> None:
+        """The unit invariants' cached failing units must equal a from-scratch
+        evaluation of the quiescent state, or ``unit_of`` misses a location
+        some per-unit predicate reads."""
+        state = self.replay.effective(None)
+        shadowed = self.replay.open_block_locs(None)
+        drift: Dict[str, Any] = {}
+        for cache in self._invariant_caches:
+            cache.refresh(state, shadowed)
+            drift.update(cache.drift(state))
+        if drift:
+            self.outcome.stats["invariant_drift"] = drift
+            self._violate(
+                ViolationKind.INSTRUMENTATION,
+                self._next_seq,
+                "incremental invariant drifted from full re-evaluation "
+                "(unit_of misses a location a per-unit predicate reads)",
+            )
 
     def finish(self) -> CheckOutcome:
         """Declare the log complete and return the final outcome."""
@@ -817,6 +899,13 @@ class RefinementChecker:
                         "differential comparator drifted from full comparison "
                         "(a spec mutator or view is under-reporting touched keys)",
                     )
+        if (
+            self._invariant_caches
+            and not self._stopped
+            and self.final_full_check
+            and not self.outcome.incomplete
+        ):
+            self._check_invariant_drift()
         self.outcome.stats.setdefault("pending_observers", self._observers.pending_count())
         return self.outcome
 

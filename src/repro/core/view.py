@@ -115,6 +115,26 @@ class FunctionView(ImplView):
         return self._fn(state)
 
 
+def take_dirty(
+    dirty: set, unit_of: Callable[[str], Optional[Hashable]],
+    shadowed_locs: Iterable[str],
+) -> Tuple[set, set]:
+    """The dirty-unit rule shared by incremental views and unit invariants.
+
+    Returns ``(todo, still_dirty)``.  ``todo`` is what a commit re-evaluates:
+    the units dirtied by writes since the last commit plus the units holding
+    locations shadowed by open commit blocks.  The shadowed units stay dirty
+    for the next commit, because they read different values again once the
+    blocks close.
+    """
+    shadowed = set()
+    for loc in shadowed_locs:
+        unit = unit_of(loc)
+        if unit is not None:
+            shadowed.add(unit)
+    return dirty | shadowed, shadowed
+
+
 class ContributionView(ImplView):
     """Incrementally maintained view assembled from per-unit contributions.
 
@@ -166,14 +186,6 @@ class ContributionView(ImplView):
         if unit is not None:
             self._dirty.add(unit)
 
-    def _mark_locs(self, locs: Iterable[str]) -> set:
-        units = set()
-        for loc in locs:
-            unit = self._unit_of(loc)
-            if unit is not None:
-                units.add(unit)
-        return units
-
     # -- maintenance -----------------------------------------------------------
 
     def _remove_contribution(self, unit: Hashable) -> None:
@@ -211,8 +223,7 @@ class ContributionView(ImplView):
         the next refresh (they will read different values again once the
         blocks close).
         """
-        extra_units = self._mark_locs(extra_dirty_locs)
-        todo = self._dirty | extra_units
+        todo, self._dirty = take_dirty(self._dirty, self._unit_of, extra_dirty_locs)
         self.last_recomputed = len(todo)
         touched = self.last_touched_keys = set()
         for unit in todo:
@@ -225,8 +236,6 @@ class ContributionView(ImplView):
                 key, value = contribution
                 touched.add(key)
                 self._add_contribution(unit, key, value)
-        # Units shadowed by open blocks must be revisited at the next commit.
-        self._dirty = set(extra_units)
         return self._value
 
     def value(self) -> Dict[Hashable, Any]:
