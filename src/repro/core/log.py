@@ -12,27 +12,26 @@ provides:
   copy-free bounded window over the shared storage.
 * :class:`LogWriter` / :class:`LogReader` -- streaming pickle serialization
   to a file, standing in for the paper's .NET binary object serialization
-  (section 6.1): records round-trip as they were saved at runtime.  The
-  default on-disk format is *crash-safe*: a magic header followed by
-  length-prefixed frames carrying a per-record CRC32, so a torn or
-  bit-flipped tail is detectable record-by-record instead of poisoning the
-  whole stream.
+  (section 6.1): records round-trip as they were saved at runtime.  Every
+  file the system writes is in one format, the append-only *tamper-evident*
+  chain (magic ``VYRDLOG2``): each record is a frame carrying its global
+  sequence number, a CRC32 of its pickled payload and the SHA-256 digest of
+  the previous frame, genesis-seeded per shard.  The CRC makes a torn or
+  bit-flipped tail detectable record by record; the hash chain catches
+  *deliberate* splice/reorder/rewrite tampering (threat T1 of the related
+  work's threat model) because a forged record cannot produce the digest
+  the next record already committed to.  Clean truncation at a frame
+  boundary is invisible to the chain itself -- pass the expected head
+  digest (recorded out-of-band, e.g. in a shard manifest) to
+  :func:`verify_chain` to close that hole.
+* Read-only formats: the reader still decodes files written by earlier
+  versions -- CRC-framed ``VYRDLOG1`` and bare concatenated pickles -- but
+  nothing writes them any more, and :func:`verify_chain` reports them as
+  carrying no integrity claim.
 * :exc:`LogFormatError` / :func:`recover_log` -- typed corruption reporting
   (byte offset, record index, cause) and best-effort salvage: long
   instrumented runs die mid-write (killed workers, full disks), and the
-  valid prefix of their log is still a checkable trace.
-* The *tamper-evident* chained format (``chained=True``, magic
-  ``VYRDLOG2``): every frame additionally carries its global sequence
-  number and the SHA-256 digest of the previous frame, genesis-seeded per
-  shard.  A CRC catches accidental bit rot; the hash chain catches
-  *deliberate* splice/reorder/rewrite tampering (threat T1 of the related
-  work's threat model) because a forged record cannot produce the digest
-  the next record already committed to.  :func:`verify_chain` walks a file
-  and reports the first break; :func:`recover_log` on a chained file
-  salvages exactly the longest *chain-valid* prefix.  Clean truncation at
-  a frame boundary is invisible to the chain itself -- pass the shard's
-  expected head digest (recorded out-of-band, e.g. in a shard manifest) to
-  :func:`verify_chain` to close that hole.
+  longest chain-valid prefix of their log is still a checkable trace.
 * ``sync=True`` adds durability: :meth:`LogWriter.flush` then pushes
   buffered frames through ``fsync``, so a record is never *acknowledged*
   (flush returned) and then lost to a process crash.
@@ -166,17 +165,19 @@ class LogView(Sequence):
         return f"<LogView [{self.start}:{self.stop}]>"
 
 
-#: Magic prefix of the crash-safe framed log format (format version 1).
+#: Magic prefix of the retired CRC-framed format (format version 1; read
+#: only).
 LOG_MAGIC = b"VYRDLOG1"
 
-#: Magic prefix of the tamper-evident chained format (format version 2).
+#: Magic prefix of the tamper-evident chained format every writer emits.
 LOG_MAGIC2 = b"VYRDLOG2"
 
 #: First byte of every pickle at protocol >= 2 (the PROTO opcode): the only
 #: byte a legacy concatenated-``pickle.dump`` stream can legally open with.
 _PICKLE_PROTO = b"\x80"
 
-#: Per-record frame header: little-endian payload length + CRC32 of payload.
+#: ``VYRDLOG1`` frame header: little-endian payload length + CRC32 of
+#: payload.
 _FRAME_HEADER = struct.Struct("<II")
 
 #: Chained frame header: global sequence number, payload length, payload
@@ -356,38 +357,33 @@ class LogFormatError(Exception):
 
 
 class LogWriter:
-    """Stream actions to a binary file, one framed pickle record at a time.
+    """Stream actions to a chained ``VYRDLOG2`` file, one frame per record.
 
     Can wrap an open binary file object or a path.  Use as a context manager
     or call :meth:`close` explicitly.
 
-    The default format is *crash-safe*: the stream opens with
-    :data:`LOG_MAGIC` and every record is a length-prefixed frame carrying a
-    CRC32 of its pickled payload, so a reader can tell a clean end-of-log
-    from a torn tail and :func:`recover_log` can salvage everything before
-    the first bad byte.  ``framed=False`` writes the legacy format -- a bare
-    concatenation of pickles, byte-compatible with per-record
-    ``pickle.dump`` output.
+    The stream opens with :data:`LOG_MAGIC2` and the shard id; every record
+    is a frame carrying its global sequence number (``write(action,
+    seq=...)``, auto-incremented from 0 when omitted), the length and CRC32
+    of its pickled payload and the SHA-256 digest of the previous frame,
+    genesis-seeded from ``shard_id``.  A reader can therefore tell a clean
+    end-of-log from a torn tail, and :func:`recover_log` salvages exactly the
+    longest chain-valid prefix.
 
     One :class:`pickle.Pickler` is kept for the whole stream -- building the
     pickling machinery per record dominated save time on long logs.  The
-    memo is cleared between records, so each record is a self-contained
+    memo is cleared between records, so each payload is a self-contained
     pickle that any frame boundary can decode with a fresh
     :class:`pickle.Unpickler`.
 
-    ``chained=True`` writes the tamper-evident ``VYRDLOG2`` format: every
-    frame carries a global sequence number (``write(action, seq=...)``,
-    auto-incremented from ``start_seq`` when omitted) and the SHA-256 digest
-    of the previous frame, genesis-seeded from ``shard_id``.  ``sync=True``
-    makes :meth:`flush` an *acknowledgment point*: buffered frames are
-    flushed and ``fsync``-ed, so records written before a flush survive any
-    subsequent process crash.  Writes themselves stay buffered -- batch a
-    group of frames, then flush once -- which is how the streaming shard
-    writers amortize the fsync cost.
+    ``sync=True`` makes :meth:`flush` an *acknowledgment point*: buffered
+    frames are flushed and ``fsync``-ed, so records written before a flush
+    survive any subsequent process crash.  Writes themselves stay buffered
+    -- batch a group of frames, then flush once -- which is how the
+    streaming shard writers amortize the fsync cost.
     """
 
-    def __init__(self, target, framed: bool = True, chained: bool = False,
-                 shard_id: int = 0, start_seq: int = 0, sync: bool = False,
+    def __init__(self, target, shard_id: int = 0, sync: bool = False,
                  resume_digest: Optional[bytes] = None):
         if hasattr(target, "write"):
             self._file: IO[bytes] = target
@@ -395,79 +391,50 @@ class LogWriter:
         else:
             self._file = open(target, "wb")
             self._owns = True
-        self._framed = framed or chained
-        self._chained = chained
         self._sync = sync
         self.records_written = 0
-        if chained:
-            self.shard_id = shard_id
-            self._next_seq = start_seq
-            if resume_digest is not None:
-                # Continuing an existing shard after a crash: the file
-                # already carries its prologue and a chain-valid prefix
-                # whose head is ``resume_digest``; new frames extend that
-                # chain so the finished file is byte-identical to one
-                # written by an uninterrupted producer.
-                self._prev_digest = resume_digest
-            else:
-                self._prev_digest = genesis_digest(shard_id)
-                self._file.write(LOG_MAGIC2 + _SHARD_PROLOGUE.pack(shard_id))
-        elif self._framed:
-            self._file.write(LOG_MAGIC)
-        if self._framed:
-            self._buffer = io.BytesIO()
-            self._pickler = pickle.Pickler(
-                self._buffer, protocol=pickle.HIGHEST_PROTOCOL
-            )
+        self._next_seq = 0
+        if resume_digest is not None:
+            # Continuing an existing shard after a crash: the file already
+            # carries its prologue and a chain-valid prefix whose head is
+            # ``resume_digest``; new frames extend that chain so the
+            # finished file is byte-identical to one written by an
+            # uninterrupted producer.
+            self._prev_digest = resume_digest
         else:
-            self._pickler = pickle.Pickler(
-                self._file, protocol=pickle.HIGHEST_PROTOCOL
-            )
+            self._prev_digest = genesis_digest(shard_id)
+            self._file.write(LOG_MAGIC2 + _SHARD_PROLOGUE.pack(shard_id))
+        self._buffer = io.BytesIO()
+        self._pickler = pickle.Pickler(
+            self._buffer, protocol=pickle.HIGHEST_PROTOCOL
+        )
 
     @property
-    def head_digest(self) -> Optional[str]:
-        """Hex digest of the last chained frame written (None unchained).
+    def head_digest(self) -> str:
+        """Hex digest of the last frame written (the chain head).
 
         Record it out-of-band (shard manifest) and hand it to
         :func:`verify_chain` to make clean tail truncation detectable.
         """
-        if not self._chained:
-            return None
         return self._prev_digest.hex()
 
-    def _payload(self, action: Action) -> bytes:
+    def write(self, action: Action, seq: Optional[int] = None) -> None:
         buffer = self._buffer
         buffer.seek(0)
         buffer.truncate()
         self._pickler.dump(action)
         self._pickler.clear_memo()
-        return buffer.getvalue()
-
-    def write(self, action: Action, seq: Optional[int] = None) -> None:
-        if not self._framed:
-            self._pickler.dump(action)
-            self._pickler.clear_memo()
-            self.records_written += 1
-            return
-        payload = self._payload(action)
-        if self._chained:
-            if seq is None:
-                seq = self._next_seq
-            self._next_seq = seq + 1
-            frame = (
-                _CHAIN_HEADER.pack(seq, len(payload), zlib.crc32(payload))
-                + self._prev_digest
-                + payload
-            )
-            self._prev_digest = hashlib.sha256(frame).digest()
-            self._file.write(frame)
-        else:
-            # Header and payload go out in one write: an interrupted append
-            # then tears at most the final frame, which recover_log drops
-            # cleanly.
-            self._file.write(
-                _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-            )
+        payload = buffer.getvalue()
+        if seq is None:
+            seq = self._next_seq
+        self._next_seq = seq + 1
+        frame = (
+            _CHAIN_HEADER.pack(seq, len(payload), zlib.crc32(payload))
+            + self._prev_digest
+            + payload
+        )
+        self._prev_digest = hashlib.sha256(frame).digest()
+        self._file.write(frame)
         self.records_written += 1
 
     def write_all(self, actions: Iterable[Action]) -> None:
@@ -500,15 +467,16 @@ class LogWriter:
 
 
 class LogReader:
-    """Iterate actions back out of a file written by :class:`LogWriter`.
+    """Iterate actions back out of a saved log file.
 
     The format is auto-detected from the magic prefix: :data:`LOG_MAGIC2`
-    streams are decoded with CRC *and* hash-chain verification (a chain
-    break raises :exc:`LogFormatError` exactly like a CRC failure, so
-    recovery semantics extend to tampering); :data:`LOG_MAGIC` streams are
-    decoded frame-by-frame with CRC validation; anything else is treated as
-    the legacy format (a concatenation of self-contained pickles, e.g.
-    files written record-at-a-time with plain ``pickle.dump``).
+    streams (everything :class:`LogWriter` writes) are decoded with CRC
+    *and* hash-chain verification (a chain break raises
+    :exc:`LogFormatError` exactly like a CRC failure, so recovery semantics
+    extend to tampering).  Two read-only formats from earlier versions stay
+    decodable: :data:`LOG_MAGIC` streams frame-by-frame with CRC
+    validation, and anything else as a concatenation of self-contained
+    pickles (files written record-at-a-time with plain ``pickle.dump``).
 
     Truncated or corrupted streams raise :exc:`LogFormatError` with the byte
     offset and index of the first bad record -- never a bare
@@ -573,22 +541,11 @@ class LogReader:
         for action, _end in self._records():
             yield action
 
-    def iter_seq(self) -> Iterator[Tuple[int, Action]]:
-        """Yield ``(seq, action)`` from a chained stream (seq = index
-        otherwise, for format-independent callers)."""
-        if self._chained:
-            for (seq, action), _end in self._chained_records():
-                yield seq, action
-        else:
-            for index, action in enumerate(self):
-                yield index, action
-
     def _records(self) -> Iterator[tuple]:
         """Yield ``(action, end_offset)`` pairs; raise :exc:`LogFormatError`
         at the first bad frame."""
         if self._chained:
-            for (_seq, action), end in self._chained_records():
-                yield action, end
+            yield from self._chained_records()
         elif self._framed:
             yield from self._framed_records()
         else:
@@ -601,8 +558,8 @@ class LogReader:
         file = self._file
         while True:
             data = file.read(1 << 20)
-            for seq, action, end in decoder.feed(data):
-                yield (seq, action), end
+            for _seq, action, end in decoder.feed(data):
+                yield action, end
             if decoder.error is not None:
                 raise decoder.error
             if not data:
@@ -760,9 +717,9 @@ def recover_log(path, obs=None) -> RecoveredLog:
     """Salvage the longest valid record prefix of a (possibly damaged) log.
 
     Never raises on corruption: reads records until the first bad frame,
-    then reports where and why decoding stopped.  Works on both the framed
-    and the legacy format.  A framed log whose magic header itself is
-    damaged salvages zero records (nothing after an unidentifiable header
+    then reports where and why decoding stopped.  Works on the chained
+    format and on both read-only formats.  A log whose magic header itself
+    is damaged salvages zero records (nothing after an unidentifiable header
     can be trusted).
 
     ``obs`` (a :class:`repro.obs.Recorder`) records a ``log.recover`` span
@@ -819,9 +776,9 @@ class ChainReport:
     ``tampered`` is True when the chain (or framing) broke mid-file, *or*
     when an ``expected_head`` was supplied and the file's chain head does
     not match it (the clean-truncation case the chain alone cannot see).
-    Unchained files report ``chained=False`` and never ``tampered`` -- they
-    carry no integrity claim to violate; callers that require one should
-    treat ``chained=False`` as a policy failure instead.
+    Files in the read-only unchained formats report ``chained=False`` and,
+    when intact, not ``tampered`` -- they carry no integrity claim to violate;
+    ``vyrd verify-chain`` fails them as a policy matter instead.
     """
 
     path: str
@@ -921,11 +878,9 @@ def log_signature(records: Iterable[Action]) -> str:
     return digest.hexdigest()
 
 
-def save_log(log: Log, path, framed: bool = True, chained: bool = False,
-             shard_id: int = 0, sync: bool = False) -> None:
-    """Write ``log`` to ``path`` (convenience wrapper around LogWriter)."""
-    with LogWriter(path, framed=framed, chained=chained, shard_id=shard_id,
-                   sync=sync) as writer:
+def save_log(log: Log, path) -> None:
+    """Write ``log`` to ``path`` as a chained file (wraps LogWriter)."""
+    with LogWriter(path) as writer:
         writer.write_all(log)
 
 

@@ -38,7 +38,6 @@ tail as it grows).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -274,7 +273,8 @@ class ViewComparator:
         """Same three-bucket shape as ``_view_diff``, restricted to (a sample
         of) the mismatched keys, plus the total mismatch count."""
         only_impl, only_spec, differ = {}, {}, {}
-        for key in itertools.islice(iter(self.mismatched), limit):
+        # sorted, so the sample is the same under every PYTHONHASHSEED
+        for key in sorted(self.mismatched, key=repr)[:limit]:
             impl_val = view_impl.get(key, VIEW_ABSENT)
             spec_val = self.spec.view_at(key)
             if spec_val is VIEW_ABSENT:

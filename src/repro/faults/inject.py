@@ -63,47 +63,30 @@ def bitflip(path: str, offset: int, bit: int = 0) -> int:
 
 
 def _frame_spans(path: str):
-    """Byte spans of every frame in a framed log, format auto-detected.
+    """Byte spans of every frame in a chained (``VYRDLOG2``) log.
 
-    Walks the length-prefixed frame headers only -- no CRC or chain checks,
-    no unpickling -- because the injector must be able to splice files it is
-    about to declare corrupt.  Returns ``(spans, data_start)`` where each
-    span is ``(start, end)``; ``([], 0)`` for unframed/legacy files (no
-    frame boundaries to splice at).
+    Walks the frame headers only -- no CRC or chain checks, no unpickling
+    -- because the injector must be able to splice files it is about to
+    declare corrupt.  Returns one ``(start, end)`` span per whole frame;
+    ``[]`` for any other file (no frame boundaries to splice at).
     """
-    from ..core.log import (
-        _CHAIN_HEADER,
-        _DIGEST_SIZE,
-        _FRAME_HEADER,
-        _SHARD_PROLOGUE,
-        LOG_MAGIC,
-        LOG_MAGIC2,
-    )
+    from ..core.log import _CHAIN_HEADER, _DIGEST_SIZE, _SHARD_PROLOGUE, LOG_MAGIC2
 
     with open(path, "rb") as handle:
         data = handle.read()
-    if data.startswith(LOG_MAGIC2):
-        start = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
-        fixed = _CHAIN_HEADER.size + _DIGEST_SIZE
-        header = _CHAIN_HEADER
-        length_at = 1  # (seq, length, crc)
-    elif data.startswith(LOG_MAGIC):
-        start = len(LOG_MAGIC)
-        fixed = _FRAME_HEADER.size
-        header = _FRAME_HEADER
-        length_at = 0  # (length, crc)
-    else:
-        return [], 0
+    if not data.startswith(LOG_MAGIC2):
+        return []
+    fixed = _CHAIN_HEADER.size + _DIGEST_SIZE
     spans = []
-    offset = start
+    offset = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
     while offset + fixed <= len(data):
-        fields = header.unpack_from(data, offset)
-        end = offset + fixed + fields[length_at]
+        _seq, length, _crc = _CHAIN_HEADER.unpack_from(data, offset)
+        end = offset + fixed + length
         if end > len(data):
             break
         spans.append((offset, end))
         offset = end
-    return spans, start
+    return spans
 
 
 def splice_records(path: str, offset: int) -> dict:
@@ -111,11 +94,11 @@ def splice_records(path: str, offset: int) -> dict:
 
     A frame-aware record splice: both frames stay individually intact
     (lengths and CRCs verify), only their order changes -- the tampering a
-    plain CRC-framed log cannot detect and the hash chain exists to catch.
+    per-record CRC alone cannot detect and the hash chain exists to catch.
     Returns the swapped record indices, or ``{"spliced": False}`` when the
     file has fewer than two whole frames (nothing to reorder).
     """
-    spans, _start = _frame_spans(path)
+    spans = _frame_spans(path)
     if len(spans) < 2:
         return {"spliced": False}
     index = 0

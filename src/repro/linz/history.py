@@ -4,8 +4,8 @@ Linearizability checking consumes nothing but the *history* of an
 execution: which operations were invoked, with which arguments, in which
 real-time order, and what they returned.  Every VYRD log level already
 records exactly that (``CallAction``/``ReturnAction``), so any log the
-pipeline can load -- legacy framed ``VYRDLOG1``, hash-chained ``VYRDLOG2``
-shards, or a salvaged prefix from :func:`repro.core.recover_log` -- yields
+pipeline can load -- hash-chained ``VYRDLOG2`` logs, read-only ``VYRDLOG1``
+files, or a salvaged prefix from :func:`repro.core.recover_log` -- yields
 a history with no commit annotations required.
 
 :func:`extract_history` performs the projection; :class:`History` holds the

@@ -91,14 +91,12 @@ class ShardWriter:
         if resume and int(resume.get("records", 0) or 0) > 0:
             self._skip = int(resume["records"])
             self._writer = LogWriter(
-                self._file, chained=True, shard_id=index, sync=sync,
+                self._file, shard_id=index, sync=sync,
                 resume_digest=bytes.fromhex(str(resume["head_digest"])),
             )
         else:
             self._skip = 0
-            self._writer = LogWriter(
-                self._file, chained=True, shard_id=index, sync=sync
-            )
+            self._writer = LogWriter(self._file, shard_id=index, sync=sync)
         self._skipped_base = self._skip
         self._batch = max(1, batch_records)
         self._unflushed = 0
@@ -111,7 +109,7 @@ class ShardWriter:
 
     @property
     def head_digest(self) -> str:
-        return self._writer.head_digest or ""
+        return self._writer.head_digest
 
     def append(self, seq: int, action: Action) -> None:
         self.last_seq = seq

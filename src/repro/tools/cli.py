@@ -485,9 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chain_parser = sub.add_parser(
         "verify-chain",
-        help="verify the tamper-evident hash chain of saved shard logs; "
-             "a session directory is audited against its MANIFEST.json "
-             "head digests",
+        help="verify the tamper-evident hash chain of saved logs (an "
+             "unchained file fails); a session directory is audited "
+             "against its MANIFEST.json head digests",
     )
     chain_parser.add_argument("paths", nargs="+", metavar="PATH",
                               help="chained log file(s), or session "
@@ -495,10 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chain_parser.add_argument("--expected-head", metavar="HEXDIGEST",
                               help="require this chain head (single file "
                                    "only; catches clean tail truncation)")
-    chain_parser.add_argument("--require-chained", action="store_true",
-                              help="treat unchained (VYRDLOG1/legacy) "
-                                   "files as a failure instead of 'no "
-                                   "integrity claim'")
     chain_parser.add_argument("--json", action="store_true",
                               help="emit the reports as JSON")
 
@@ -1458,10 +1454,8 @@ def _cmd_verify_chain(args) -> int:
         targets = [(path, args.expected_head) for path, _ in targets]
     reports = [verify_chain(path, expected_head=head)
                for path, head in targets]
-    failed = [
-        report for report in reports
-        if report.tampered or (args.require_chained and not report.chained)
-    ]
+    failed = [report for report in reports
+              if report.tampered or not report.chained]
     if args.json:
         print(json.dumps({
             "ok": not failed,
@@ -1471,9 +1465,8 @@ def _cmd_verify_chain(args) -> int:
         }, indent=2))
         return 1 if failed else 0
     for report in reports:
-        if not report.chained:
-            state = "UNCHAINED" if args.require_chained else "unchained"
-            print(f"[{state}] {report.path}: {report.records} records "
+        if not report.chained and not report.tampered:
+            print(f"[UNCHAINED] {report.path}: {report.records} records "
                   f"(no integrity claim)")
             continue
         if report.ok:

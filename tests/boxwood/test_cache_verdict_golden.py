@@ -14,10 +14,11 @@ the linz cross-validation gate (3 threads x 10 calls, seed 2).
 ``cache_verdict_golden.json`` was recorded while the cache invariants were
 still whole-state scans evaluated at every commit, so a pass proves the
 per-unit (incremental) invariants changed no verdict, violation seq or
-message.  A view violation's diff samples the mismatched keys in set
-order, so the runs are observed in a child interpreter with
-``PYTHONHASHSEED=0``.  Regenerate only for a change that means to alter
-verdicts::
+message.  The runs are observed in child interpreters under two hash
+seeds, ``PYTHONHASHSEED=0`` and ``1``, and both must equal the golden: a
+view violation's diff samples the mismatched keys, and the sample must not
+depend on set iteration order.  Regenerate only for a change that means to
+alter verdicts::
 
     PYTHONPATH=src python tests/boxwood/test_cache_verdict_golden.py
 """
@@ -84,10 +85,13 @@ def _observe(run_kwargs: dict) -> dict:
 RUNS = dict(_runs())
 
 
-def _observe_all_seeded() -> dict:
+HASH_SEEDS = ("0", "1")
+
+
+def _observe_all_seeded(hash_seed: str = "0") -> dict:
     """Every run, observed by a child interpreter with a fixed hash seed."""
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (src, env.get("PYTHONPATH")) if path
     )
@@ -100,7 +104,7 @@ def _observe_all_seeded() -> dict:
 
 @pytest.fixture(scope="module")
 def observed():
-    return _observe_all_seeded()
+    return {seed: _observe_all_seeded(seed) for seed in HASH_SEEDS}
 
 
 def test_golden_covers_every_run():
@@ -111,7 +115,8 @@ def test_golden_covers_every_run():
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cache_verdicts_match_golden(name, observed):
     golden = json.loads(GOLDEN.read_text())
-    assert observed[name] == golden[name]
+    for seed in HASH_SEEDS:
+        assert observed[seed][name] == golden[name], f"PYTHONHASHSEED={seed}"
 
 
 def test_golden_exercises_invariant_violations():

@@ -3,10 +3,31 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from repro import Kernel, Vyrd
+from repro.core import (
+    AcquireAction,
+    BeginCommitBlockAction,
+    CallAction,
+    CommitAction,
+    EndCommitBlockAction,
+    JoinAction,
+    ReadAction,
+    ReleaseAction,
+    ReplayAction,
+    ReturnAction,
+    SpawnAction,
+    WriteAction,
+)
+
+#: Saved logs in the read-only formats nothing writes any more, produced
+#: once by the retired writers from :func:`_legacy_records`:
+#: ``legacy-v1.vyrdlog`` is CRC-framed ``VYRDLOG1`` and
+#: ``legacy-bare.vyrdlog`` is concatenated per-record pickles.
+LEGACY_LOG_DIR = Path(__file__).parent / "core" / "data"
 
 
 def pytest_configure(config):
@@ -71,6 +92,39 @@ def find_detecting_seed(run_once, seeds=range(64)):
         if not outcome.ok:
             return seed, outcome
     pytest.fail(f"no violation found in {len(list(seeds))} seeds")
+
+
+def _legacy_records():
+    """Every record kind, with one payload object shared by two records (a
+    per-record pickle memo must not leak across record boundaries)."""
+    shared = ("shared-payload", 7)
+    return [
+        SpawnAction(0, None, 2),
+        CallAction(2, 0, "insert", (3, shared)),
+        AcquireAction(2, 0, "A[0]"),
+        ReadAction(2, 0, "A[0].elt"),
+        BeginCommitBlockAction(2, 0),
+        WriteAction(2, 0, "A[0].elt", None, 3),
+        ReplayAction(2, 0, "insert", shared),
+        CommitAction(2, 0),
+        EndCommitBlockAction(2, 0),
+        ReleaseAction(2, 0, "A[0]"),
+        AcquireAction(2, 0, "rw", "r"),
+        ReleaseAction(2, 0, "rw", "r"),
+        ReturnAction(2, 0, "insert", "success"),
+        CommitAction(3, None),
+        JoinAction(0, None, 2),
+    ]
+
+
+@pytest.fixture
+def legacy_logs():
+    """``(v1_path, bare_path, records)`` of the read-only log fixtures."""
+    return (
+        str(LEGACY_LOG_DIR / "legacy-v1.vyrdlog"),
+        str(LEGACY_LOG_DIR / "legacy-bare.vyrdlog"),
+        _legacy_records(),
+    )
 
 
 @pytest.fixture

@@ -22,9 +22,11 @@ from repro.core import (
     SpawnAction,
     WriteAction,
     load_log,
+    recover_log,
     save_log,
     validate_well_formed,
 )
+from repro.core.log import _CHAIN_HEADER, _DIGEST_SIZE, _SHARD_PROLOGUE, LOG_MAGIC2
 
 
 def _simple_log():
@@ -175,35 +177,44 @@ def test_stream_round_trip_in_memory():
         assert list(reader) == list(log)
 
 
-def test_framed_records_are_independently_loadable(tmp_path):
+def test_framed_records_are_independently_loadable(tmp_path, legacy_logs):
     """The stream pickler's memo is cleared per record, so every record is a
-    self-contained pickle frame: a fresh Unpickler at any record boundary
-    must succeed, even with payload objects repeated across records.
-    (``framed=False`` is the legacy bare-pickle format; the default framed
-    format wraps each of these same pickles in a length+CRC header.)"""
-    payload = ("shared-payload", 7)
-    log = Log(CallAction(0, i, "m", (payload,)) for i in range(6))
-    path = tmp_path / "framed.vyrdlog"
-    save_log(log, path, framed=False)
+    self-contained pickle: a fresh unpickler at any record boundary must
+    succeed, even with payload objects repeated across records -- for the
+    frame payloads of a chained file written today and for the records of
+    the read-only bare-pickle fixture alike."""
+    _v1, bare, records = legacy_logs
+    path = tmp_path / "chained.vyrdlog"
+    save_log(Log(records), path)
+    data = path.read_bytes()
+    assert data.startswith(LOG_MAGIC2)
+    fixed = _CHAIN_HEADER.size + _DIGEST_SIZE
+    offset = len(LOG_MAGIC2) + _SHARD_PROLOGUE.size
+    payloads = []
+    while offset < len(data):
+        _seq, length, _crc = _CHAIN_HEADER.unpack_from(data, offset)
+        payloads.append(pickle.loads(data[offset + fixed: offset + fixed + length]))
+        offset += fixed + length
+    assert payloads == records
+
     restored = []
-    with open(path, "rb") as handle:
+    with open(bare, "rb") as handle:
         while True:
             try:
                 restored.append(pickle.Unpickler(handle).load())
             except EOFError:
                 break
-    assert restored == list(log)
+    assert restored == records
 
 
-def test_reader_loads_legacy_per_record_dumps(tmp_path):
-    """Files written record-at-a-time with plain pickle.dump (the pre-framing
-    format) load unchanged through the persistent-unpickler reader."""
-    log = _sync_log()
-    path = tmp_path / "legacy.vyrdlog"
-    with open(path, "wb") as handle:
-        for action in log:
-            pickle.dump(action, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    assert list(load_log(path)) == list(log)
+def test_reader_loads_legacy_per_record_dumps(legacy_logs):
+    """Files written record-at-a-time with plain pickle.dump (the
+    pre-framing format, now read-only) still load and salvage unchanged."""
+    _v1, bare, records = legacy_logs
+    assert list(load_log(bare)) == records
+    recovered = recover_log(bare)
+    assert recovered.complete and not recovered.chained
+    assert list(recovered.log) == records
 
 
 def test_interleaved_write_and_write_all_round_trip(tmp_path):

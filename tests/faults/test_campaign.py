@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from repro.faults import FaultPlan, run_fault_campaign
+from repro.faults import SPLICE_LOG, FaultPlan, run_fault_campaign
 from repro.tools.cli import main
 
 pytestmark = pytest.mark.skipif(
@@ -29,7 +29,10 @@ def test_campaign_survives_and_matches_serial(report):
 
 def test_campaign_salvages_every_corruption(report):
     assert report.recovery_ok
-    assert len(report.recoveries) == 2  # one tear + one bitflip planned
+    # one tear, one bitflip and one record splice planned
+    assert len(report.recoveries) == 3
+    splices = [e for e in report.recoveries if e["fault"]["kind"] == SPLICE_LOG]
+    assert len(splices) == 1 and splices[0]["prefix_exact"]
     for entry in report.recoveries:
         assert entry["ok"]
         assert entry["prefix_exact"]

@@ -19,8 +19,8 @@ def _record(i):
 
 
 def _crashing_writer(path, ack_path, batch, crash_after):
-    """Child: write chained+synced batches, acknowledge each flush, crash."""
-    writer = LogWriter(path, chained=True, sync=True)
+    """Child: write synced batches, acknowledge each flush, crash."""
+    writer = LogWriter(path, sync=True)
     for i in range(crash_after):
         writer.write(_record(i))
         if (i + 1) % batch == 0:
@@ -65,7 +65,7 @@ def test_sync_flush_reaches_the_device(tmp_path, monkeypatch):
         log_module.os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))
     )
     path = str(tmp_path / "synced.vlog2")
-    with LogWriter(path, chained=True, sync=True) as writer:
+    with LogWriter(path, sync=True) as writer:
         for i in range(30):
             writer.write(_record(i))
             if (i + 1) % 10 == 0:

@@ -6,11 +6,17 @@ raise, (b) return exactly the records of every frame that precedes the
 damage -- computed here from ground-truth frame boundaries, not from the
 reader under test -- and (c) report the byte offset where parsing stopped
 whenever anything was lost.
+
+The files are in the read-only CRC-framed ``VYRDLOG1`` format, built by a
+test-local encoder because nothing in the package writes it any more; the
+chained format's salvage properties live in ``test_props_chain.py``.
 """
 
 import os
+import pickle
 import struct
 import tempfile
+import zlib
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -22,7 +28,6 @@ from repro.core import (
     ReturnAction,
     WriteAction,
     recover_log,
-    save_log,
 )
 from repro.core.log import LOG_MAGIC
 from repro.faults import bitflip, tear
@@ -70,10 +75,16 @@ def _frame_boundaries(path) -> list:
 
 
 def _saved(history):
+    """Encode the history's log as ``VYRDLOG1``: the magic, then per record
+    a ``<II`` length + CRC32 header and the record's pickle."""
     log = _history_to_log(history)
     fd, path = tempfile.mkstemp(suffix=".vyrdlog")
-    os.close(fd)
-    save_log(log, path)
+    with os.fdopen(fd, "wb") as handle:
+        handle.write(LOG_MAGIC)
+        for action in log:
+            payload = pickle.dumps(action, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
+            handle.write(payload)
     return log, path
 
 

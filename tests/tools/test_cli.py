@@ -790,17 +790,31 @@ def test_verify_chain_pinpoints_flipped_byte(tmp_path, capsys):
     assert "[ok]" in out  # the untouched shard still verifies
 
 
-def test_verify_chain_unchained_is_policy_not_tampering(tmp_path, capsys):
-    log_path = str(tmp_path / "legacy.vyrdlog")
+def test_run_save_writes_a_chained_log(tmp_path, capsys):
+    log_path = str(tmp_path / "run.vlog")
     main([
         "run", "--program", "multiset-vector", "--threads", "2",
         "--calls", "4", "--save", log_path,
     ])
     capsys.readouterr()
     assert main(["verify-chain", log_path]) == 0
-    assert "unchained" in capsys.readouterr().out
-    assert main(["verify-chain", "--require-chained", log_path]) == 1
-    assert "UNCHAINED" in capsys.readouterr().out
+    assert "[ok]" in capsys.readouterr().out
+    # a flipped magic byte is damage to a chained file, not a legacy format
+    data = bytearray(open(log_path, "rb").read())
+    data[7] ^= 1
+    open(log_path, "wb").write(bytes(data))
+    assert main(["verify-chain", log_path]) == 1
+    out = capsys.readouterr().out
+    assert "[TAMPERED]" in out and "UNCHAINED" not in out
+
+
+def test_verify_chain_unchained_is_policy_not_tampering(legacy_logs, capsys):
+    """A read-only unchained file decodes cleanly but carries no integrity
+    claim: verify-chain fails it as UNCHAINED, never as TAMPERED."""
+    v1, _bare, _records = legacy_logs
+    assert main(["verify-chain", v1]) == 1
+    out = capsys.readouterr().out
+    assert "[UNCHAINED]" in out and "TAMPERED" not in out
 
 
 def test_verify_chain_rejects_non_session_directory(tmp_path, capsys):
